@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"minion/internal/buf"
@@ -97,6 +98,14 @@ type Config struct {
 	// disable congestion control for unreliable-style service; used by
 	// ablation benches only).
 	DisableCC bool
+	// RACK selects RACK-TLP loss recovery (RFC 8985, rack.go): a segment
+	// is lost once one sent after it has been delivered, retransmissions
+	// included; a tail loss probe follows 2·SRTT of silence; and the RTO
+	// is armed per RFC 6298 §5.1/§5.3. Off (the default), the sender is
+	// Reno with RFC 6675 SACK loss marking and an RTO restarted on every
+	// transmission — the Linux 2.6.34 behaviour the simulator's paper
+	// figures are calibrated against. uTCP over UDP turns it on.
+	RACK bool
 }
 
 // Defaults returns cfg with zero fields replaced by defaults.
@@ -138,6 +147,12 @@ type Stats struct {
 	FastRecoveries  int
 	Timeouts        int
 	DeliveredOOO    int // uTCP out-of-order deliveries to the app
+	// RACK mode only: segments RACK's time rule marked lost (first
+	// transmissions and retransmissions alike), the retransmissions among
+	// them, and tail loss probes sent.
+	RACKLosses      int
+	RACKLostRetrans int
+	TLPs            int
 }
 
 // UnorderedData is one uTCP delivery: the equivalent of the 5-byte metadata
@@ -234,6 +249,9 @@ func New(r rt.Runtime, cfg Config, out func(*Segment)) *Conn {
 		}
 	}
 	c.rtoFn = c.onRTO
+	if c.cfg.RACK {
+		c.rtoFn = c.onRACKTimer
+	}
 	c.initSender()
 	c.initReceiver()
 	return c
@@ -243,8 +261,15 @@ func New(r rt.Runtime, cfg Config, out func(*Segment)) *Conn {
 func (c *Conn) SetOutput(out func(*Segment)) { c.out = out }
 
 // OnReadable registers a callback invoked whenever new data becomes
-// available to Read/ReadUnordered.
-func (c *Conn) OnReadable(fn func()) { c.onReadable = fn }
+// available to Read/ReadUnordered. If data or the peer's FIN is already
+// queued the callback is scheduled at once, so a reader attached after
+// traffic arrived does not stall.
+func (c *Conn) OnReadable(fn func()) {
+	c.onReadable = fn
+	if c.inQ.Len() > 0 || c.uQ.Len() > 0 || c.peerFinReceived {
+		c.notifyReadable()
+	}
+}
 
 // OnWritable registers a callback invoked when send-buffer space becomes
 // available after Write/WriteMsg returned short or ErrWouldBlock.
@@ -343,6 +368,9 @@ func (c *Conn) teardown(err error) {
 	c.setState(StateClosed)
 	c.stopAllTimers()
 	c.dropSendState()
+	// A closed connection ignores input, so the reorder buffer can never
+	// drain into the read queues: release its copies now.
+	c.asm.Discard(math.MaxUint64)
 	if c.onClose != nil {
 		fn := c.onClose
 		c.onClose = nil

@@ -83,6 +83,8 @@ type sender struct {
 	rtxTimer     rt.Timer
 	persistTimer rt.Timer
 
+	rack rackState // Config.RACK only
+
 	nagleHold bool
 }
 
@@ -313,22 +315,27 @@ func (c *Conn) trySend() {
 func (c *Conn) retransmitNextLost() bool {
 	for _, t := range c.txSegs {
 		if t.lost && !t.sacked {
-			t.lost = false
-			t.retrans = true
-			t.sentAt = c.rtm.Now()
-			c.stats.SegsRetrans++
-			c.stats.BytesRetrans += int64(len(t.data))
-			fl := FlagACK
-			if t.fin {
-				fl |= FlagFIN
-			}
-			c.emit(&Segment{Seq: t.seq, Ack: c.rcvNxt, Flags: fl, Window: c.advertisedWindow(), Payload: t.data, Buf: t.buf})
-			c.ackedWithData()
-			c.armRTO()
+			c.retransmit(t)
 			return true
 		}
 	}
 	return false
+}
+
+// retransmit sends scoreboard segment t again.
+func (c *Conn) retransmit(t *txSeg) {
+	t.lost = false
+	t.retrans = true
+	t.sentAt = c.rtm.Now()
+	c.stats.SegsRetrans++
+	c.stats.BytesRetrans += int64(len(t.data))
+	fl := FlagACK
+	if t.fin {
+		fl |= FlagFIN
+	}
+	c.emit(&Segment{Seq: t.seq, Ack: c.rcvNxt, Flags: fl, Window: c.advertisedWindow(), Payload: t.data, Buf: t.buf})
+	c.ackedWithData()
+	c.armRTO()
 }
 
 // sendNewData builds and transmits one segment of new data, honoring write
@@ -515,6 +522,9 @@ func (c *Conn) processAck(seg *Segment) {
 	for _, b := range seg.SACK {
 		for _, t := range c.txSegs {
 			if t.seq >= b.Start && t.end() <= b.End {
+				if c.cfg.RACK && !t.sacked {
+					c.rackDelivered(t)
+				}
 				t.sacked = true
 				t.lost = false
 			}
@@ -529,6 +539,9 @@ func (c *Conn) processAck(seg *Segment) {
 	}
 
 	c.detectSACKLoss()
+	if c.cfg.RACK {
+		c.rackDetectLoss()
+	}
 }
 
 func (c *Conn) handleNewAck(ack, oldUna uint64) {
@@ -540,6 +553,9 @@ func (c *Conn) handleNewAck(ack, oldUna uint64) {
 	for _, t := range c.txSegs {
 		if t.end() <= ack {
 			ackedUnits += c.ccUnit(len(t.data))
+			if c.cfg.RACK && !t.sacked {
+				c.rackDelivered(t)
+			}
 			if !t.retrans {
 				rttSample = c.rtm.Now() - t.sentAt
 			}
@@ -559,8 +575,9 @@ func (c *Conn) handleNewAck(ack, oldUna uint64) {
 		if ack >= c.recover {
 			c.inRecovery = false
 			c.cwnd = c.ssthresh
-		} else {
-			// Partial ack: the next hole is lost too (NewReno).
+		} else if !c.cfg.RACK {
+			// Partial ack: the next hole is lost too (NewReno). RACK
+			// needs no such guess: it marks the hole by send time.
 			if len(c.txSegs) > 0 && !c.txSegs[0].sacked {
 				c.txSegs[0].lost = true
 			}
@@ -577,10 +594,13 @@ func (c *Conn) handleNewAck(ack, oldUna uint64) {
 		}
 	}
 
+	if c.cfg.RACK {
+		c.rackNewAck(ack)
+	}
 	if len(c.txSegs) == 0 {
-		c.stopTimer(&c.rtxTimer)
+		c.stopRTO()
 	} else {
-		c.armRTO()
+		c.restartRTO()
 	}
 	c.notifyWritable()
 }
@@ -618,19 +638,7 @@ func (c *Conn) detectSACKLoss() {
 }
 
 func (c *Conn) enterRecovery() {
-	c.inRecovery = true
-	c.recover = c.sndNxt
-	c.stats.FastRecoveries++
-	half := c.pipe() / 2
-	min := 2.0
-	if c.cfg.ByteCountedCwnd {
-		min = 2 * float64(c.cfg.MSS)
-	}
-	if half < min {
-		half = min
-	}
-	c.ssthresh = half
-	c.cwnd = c.ssthresh
+	c.startRecovery()
 	// Mark the first unsacked segment lost so it is retransmitted.
 	for _, t := range c.txSegs {
 		if !t.sacked {
@@ -639,6 +647,29 @@ func (c *Conn) enterRecovery() {
 		}
 	}
 	c.trySend()
+}
+
+// startRecovery opens a recovery episode and halves the window.
+func (c *Conn) startRecovery() {
+	c.inRecovery = true
+	c.recover = c.sndNxt
+	c.stats.FastRecoveries++
+	c.ssthresh = c.halfPipe()
+	c.cwnd = c.ssthresh
+}
+
+// halfPipe is the post-loss slow-start threshold: half the in-flight
+// estimate, at least two segments.
+func (c *Conn) halfPipe() float64 {
+	half := c.pipe() / 2
+	min := 2.0
+	if c.cfg.ByteCountedCwnd {
+		min = 2 * float64(c.cfg.MSS)
+	}
+	if half < min {
+		half = min
+	}
+	return half
 }
 
 func (c *Conn) updateRTT(sample time.Duration) {
@@ -683,13 +714,43 @@ func (c *Conn) rto() time.Duration {
 	return rto
 }
 
+// armRTO runs after every transmission. By default it restarts the
+// timer; in RACK mode it starts it only if it is not running (RFC 6298
+// §5.1) and re-arms the tail loss probe.
 func (c *Conn) armRTO() {
+	if c.cfg.RACK {
+		c.rackOnTransmit()
+		return
+	}
+	c.restartRTO()
+}
+
+// restartRTO restarts the timer from now: on an ACK of new data (RFC 6298
+// §5.3) and after a timeout.
+func (c *Conn) restartRTO() {
+	if c.cfg.RACK {
+		c.rackRestart()
+		return
+	}
 	c.stopTimer(&c.rtxTimer)
 	c.rtxTimer = c.rtm.Schedule(c.rto(), c.rtoFn)
 }
 
+// stopRTO disarms retransmission timing once nothing is outstanding.
+func (c *Conn) stopRTO() {
+	if c.cfg.RACK {
+		c.rack.rtoAt, c.rack.ptoAt, c.rack.reoAt = 0, 0, 0
+		return // the pending firing finds nothing due
+	}
+	c.stopTimer(&c.rtxTimer)
+}
+
 func (c *Conn) onRTO() {
 	c.rtxTimer = nil
+	if c.cfg.RACK {
+		c.stopRTO()
+		c.rack.tlpOut = false
+	}
 	if len(c.txSegs) == 0 {
 		return
 	}
@@ -700,18 +761,8 @@ func (c *Conn) onRTO() {
 		return
 	}
 	if !c.cfg.DisableCC {
-		half := c.pipe() / 2
-		min := 2.0
-		unit := 1.0
-		if c.cfg.ByteCountedCwnd {
-			unit = float64(c.cfg.MSS)
-			min *= unit
-		}
-		if half < min {
-			half = min
-		}
-		c.ssthresh = half
-		c.cwnd = unit // back to one segment
+		c.ssthresh = c.halfPipe()
+		c.cwnd = c.ccUnit(c.cfg.MSS) // back to one segment
 	}
 	c.inRecovery = false
 	c.dupAcks = 0
@@ -723,5 +774,5 @@ func (c *Conn) onRTO() {
 		}
 	}
 	c.trySend()
-	c.armRTO()
+	c.restartRTO()
 }

@@ -94,13 +94,15 @@ func recordUnordered(tc *tcp.Conn, trace *[]delivery) {
 
 // conformanceCfg pins every knob that could diverge between the two
 // substrates — in particular the MSS, which the codec path defaults to
-// DefaultMSS but the sim path defaults to an Ethernet-sized 1448.
-func conformanceCfg() tcp.Config {
+// DefaultMSS but the sim path defaults to an Ethernet-sized 1448 — and
+// selects the recovery mode.
+func conformanceCfg(rack bool) tcp.Config {
 	cfg := tcp.Config{}.Defaults()
 	cfg.Unordered = true
 	cfg.UnorderedSend = true
 	cfg.NoDelay = true
 	cfg.MSS = DefaultMSS
+	cfg.RACK = rack
 	return cfg
 }
 
@@ -134,6 +136,7 @@ type statsOfInterest struct {
 	AcksSent, DupAcksReceived           int
 	FastRecoveries, Timeouts            int
 	DeliveredOOO                        int
+	RACKLosses, RACKLostRetrans, TLPs   int
 }
 
 func project(st tcp.Stats) statsOfInterest {
@@ -142,13 +145,14 @@ func project(st tcp.Stats) statsOfInterest {
 		AcksSent: st.AcksSent, DupAcksReceived: st.DupAcksReceived,
 		FastRecoveries: st.FastRecoveries, Timeouts: st.Timeouts,
 		DeliveredOOO: st.DeliveredOOO,
+		RACKLosses:   st.RACKLosses, RACKLostRetrans: st.RACKLostRetrans, TLPs: st.TLPs,
 	}
 }
 
 // runSimDirect runs the schedule over the segment-passing sim substrate.
-func runSimDirect(seed int64, ab, ba schedule) ([]delivery, statsOfInterest, statsOfInterest) {
+func runSimDirect(seed int64, rack bool, ab, ba schedule) ([]delivery, statsOfInterest, statsOfInterest) {
 	s := sim.New(seed)
-	cfg := conformanceCfg()
+	cfg := conformanceCfg(rack)
 	a, b := tcp.NewPair(s, cfg, cfg, newScriptedPath(s, 5*time.Millisecond, ab), newScriptedPath(s, 5*time.Millisecond, ba))
 	var trace []delivery
 	recordUnordered(b, &trace)
@@ -160,9 +164,9 @@ func runSimDirect(seed int64, ab, ba schedule) ([]delivery, statsOfInterest, sta
 // runOverCodec runs the identical schedule with every segment encoded
 // into a UDP datagram and decoded back — the userspace wire path on the
 // simulator.
-func runOverCodec(seed int64, ab, ba schedule) ([]delivery, statsOfInterest, statsOfInterest) {
+func runOverCodec(seed int64, rack bool, ab, ba schedule) ([]delivery, statsOfInterest, statsOfInterest) {
 	s := sim.New(seed)
-	cfg := conformanceCfg()
+	cfg := conformanceCfg(rack)
 	ua, ub := udp.New(), udp.New()
 	udp.Wire(ua, ub, newScriptedPath(s, 5*time.Millisecond, ab), newScriptedPath(s, 5*time.Millisecond, ba))
 	bindA := Bind(s, ua, cfg)
@@ -176,30 +180,46 @@ func runOverCodec(seed int64, ab, ba schedule) ([]delivery, statsOfInterest, sta
 	return trace, project(bindA.Conn().Stats()), project(bindB.Conn().Stats())
 }
 
+// conformanceCases are the scripted schedules both substrates run.
+var conformanceCases = []struct {
+	name   string
+	ab, ba schedule
+}{
+	{"clean", schedule{}, schedule{}},
+	{"data loss", schedule{drop: map[int]bool{3: true, 9: true, 17: true, 18: true, 30: true}}, schedule{}},
+	{"ack loss", schedule{}, schedule{drop: map[int]bool{2: true, 5: true, 11: true}}},
+	{"reorder", schedule{delay: map[int]time.Duration{6: 25 * time.Millisecond, 14: 40 * time.Millisecond}}, schedule{}},
+	{"duplication", schedule{dup: map[int]bool{4: true, 8: true, 20: true}}, schedule{}},
+	{"mixed", schedule{
+		drop:  map[int]bool{5: true, 16: true, 27: true},
+		dup:   map[int]bool{7: true},
+		delay: map[int]time.Duration{10: 30 * time.Millisecond},
+	}, schedule{drop: map[int]bool{4: true}}},
+}
+
 // TestGoldenTraceConformance runs matched schedules through both
 // substrates and requires identical delivery traces — same fragments, same
 // offsets, same content, same in-order/out-of-order classification — and
 // identical protocol counters on both endpoints.
-func TestGoldenTraceConformance(t *testing.T) {
-	cases := []struct {
-		name   string
-		ab, ba schedule
-	}{
-		{"clean", schedule{}, schedule{}},
-		{"data loss", schedule{drop: map[int]bool{3: true, 9: true, 17: true, 18: true, 30: true}}, schedule{}},
-		{"ack loss", schedule{}, schedule{drop: map[int]bool{2: true, 5: true, 11: true}}},
-		{"reorder", schedule{delay: map[int]time.Duration{6: 25 * time.Millisecond, 14: 40 * time.Millisecond}}, schedule{}},
-		{"duplication", schedule{dup: map[int]bool{4: true, 8: true, 20: true}}, schedule{}},
-		{"mixed", schedule{
-			drop:  map[int]bool{5: true, 16: true, 27: true},
-			dup:   map[int]bool{7: true},
-			delay: map[int]time.Duration{10: 30 * time.Millisecond},
-		}, schedule{drop: map[int]bool{4: true}}},
+func TestGoldenTraceConformance(t *testing.T) { checkConformance(t, false) }
+
+// TestGoldenTraceConformanceRACK repeats the comparison with RACK-TLP
+// recovery, the mode the real-socket transport runs: its timers and
+// scoreboard state must be as substrate-independent as the default's.
+func TestGoldenTraceConformanceRACK(t *testing.T) {
+	if checkConformance(t, true) == 0 {
+		t.Error("no schedule exercised RACK loss marking")
 	}
-	for _, c := range cases {
+}
+
+// checkConformance runs every case in one recovery mode and returns how
+// many segments RACK marked lost on the sim-side sender across the cases.
+func checkConformance(t *testing.T, rack bool) (rackLosses int) {
+	for _, c := range conformanceCases {
 		t.Run(c.name, func(t *testing.T) {
-			simTrace, simA, simB := runSimDirect(42, c.ab, c.ba)
-			codTrace, codA, codB := runOverCodec(42, c.ab, c.ba)
+			simTrace, simA, simB := runSimDirect(42, rack, c.ab, c.ba)
+			codTrace, codA, codB := runOverCodec(42, rack, c.ab, c.ba)
+			rackLosses += simA.RACKLosses
 
 			if len(simTrace) == 0 {
 				t.Fatal("sim substrate delivered nothing — broken harness")
@@ -227,4 +247,5 @@ func TestGoldenTraceConformance(t *testing.T) {
 			}
 		})
 	}
+	return rackLosses
 }

@@ -377,6 +377,15 @@ func (cfg TCPConfig) tcpConfig(unordered bool) tcp.Config {
 	}
 }
 
+// utcpConfig is tcpConfig for uTCP over real UDP sockets, which recovers
+// losses with RACK-TLP. The simulator keeps the default recovery the
+// paper's Linux 2.6.34 figures were measured with.
+func (cfg TCPConfig) utcpConfig() tcp.Config {
+	c := cfg.tcpConfig(true)
+	c.RACK = true
+	return c
+}
+
 // ErrUnreliableSubstrate is returned by udp sends that cannot honor
 // options requiring reliability-side machinery.
 var ErrUnreliableSubstrate = errors.New("minion: substrate does not support this option")

@@ -95,7 +95,7 @@ const utcpCloseLinger = 3 * time.Second
 // dialUTCP opens a userspace uTCP connection over a connected UDP socket
 // and stacks the protocol's framing on it.
 func (dc DialConfig) dialUTCP(proto Protocol, network, addr string) (Conn, error) {
-	cli, err := utcp.Dial(network, addr, dc.TCPConfig.tcpConfig(true), wire.UDPConfig{
+	cli, err := utcp.Dial(network, addr, dc.TCPConfig.utcpConfig(), wire.UDPConfig{
 		SockSendBufBytes: dc.SockSendBufBytes,
 		SockRecvBufBytes: dc.SockRecvBufBytes,
 		DialTimeout:      dc.Timeout,

@@ -489,7 +489,7 @@ func (lc ListenConfig) Listen(proto Protocol, network, addr string) (*Listener, 
 		// it also tears down the connections accepted from it. Loops/Group
 		// are ignored: every endpoint shares the socket's event loop.
 		uln, err := utcp.Listen(network, addr, utcp.ListenerConfig{
-			Config:  lc.TCPConfig.tcpConfig(true),
+			Config:  lc.TCPConfig.utcpConfig(),
 			Backlog: lc.Backlog,
 			UDP: wire.UDPConfig{
 				SockSendBufBytes: lc.SockSendBufBytes,
