@@ -27,7 +27,7 @@ import (
 // variant writes BENCH_udp_<conns>.json.
 type connScaleResult struct {
 	Conns       int    `json:"conns"`
-	Mode        string `json:"mode"`  // "poll", "shared" or "dedicated" loops
+	Mode        string `json:"mode"`  // "poll", "dedicated", or "group" (group loops without pollers)
 	Loops       int    `json:"loops"` // loops per side (client and server group each; 0 in dedicated mode)
 	Procs       int    `json:"procs"` // GOMAXPROCS during the run
 	Stack       string `json:"stack"`
@@ -93,8 +93,8 @@ func runConnScale(args []string) error {
 	loops := fs.Int("loops", 0, "event loops per side (0 = GOMAXPROCS)")
 	window := fs.Int("window", 16, "self-clocked datagrams in flight per connection")
 	totalOps := fs.Int("ops", 65536, "target total round trips per count (min 8 per conn)")
-	mode := fs.String("mode", "poll", "loop mode: poll (falls back to shared off-Linux), shared, dedicated")
-	dedicated := fs.Bool("dedicated", false, "alias for -mode dedicated (the PR-2 baseline shape)")
+	mode := fs.String("mode", "poll", "loop mode: poll (group loops; reader/writer goroutines where the platform has no poller), dedicated")
+	dedicated := fs.Bool("dedicated", false, "alias for -mode dedicated (a loop per connection)")
 	procsList := fs.String("procs", "", "comma-separated GOMAXPROCS values to sweep (multi-core scaling); empty = current setting only")
 	udp := fs.Bool("udp", false, "measure the UDP shim instead (sendmmsg/recvmmsg batching), writing BENCH_udp_<conns>.json")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the whole sweep")
@@ -128,9 +128,9 @@ func runConnScale(args []string) error {
 		*mode = "dedicated"
 	}
 	switch *mode {
-	case "poll", "shared", "dedicated":
+	case "poll", "dedicated":
 	default:
-		return fmt.Errorf("bad -mode %q (want poll, shared or dedicated)", *mode)
+		return fmt.Errorf("bad -mode %q (want poll or dedicated)", *mode)
 	}
 	var counts []int
 	maxConns := 0
@@ -240,10 +240,6 @@ func connScaleOnce(nConns, loops, msgBytes, window, totalOps int, mode string) (
 		loopCount = runtime.GOMAXPROCS(0)
 	}
 	lnLoops := loopCount
-	lnMode := minion.LoopShared
-	if mode == "poll" {
-		lnMode = minion.LoopPoll
-	}
 	dedicated := mode == "dedicated"
 	if dedicated {
 		lnLoops = 0 // per-connection loops on both sides
@@ -259,7 +255,7 @@ func connScaleOnce(nConns, loops, msgBytes, window, totalOps int, mode string) (
 	var sg *minion.LoopGroup
 	lcfg := minion.ListenConfig{TCPConfig: minion.TCPConfig{NoDelay: true}}
 	if !dedicated {
-		sg = minion.NewLoopGroupMode(lnLoops, lnMode)
+		sg = minion.NewLoopGroup(lnLoops)
 		defer sg.Close()
 		lcfg.Group = sg
 	}
@@ -302,10 +298,13 @@ func connScaleOnce(nConns, loops, msgBytes, window, totalOps int, mode string) (
 	dc := minion.DialConfig{TCPConfig: minion.TCPConfig{NoDelay: true}}
 	resMode := "dedicated"
 	if !dedicated {
-		g := minion.NewLoopGroupMode(loopCount, lnMode)
+		g := minion.NewLoopGroup(loopCount)
 		defer g.Close()
 		dc.Group = g
-		resMode = g.Mode() // actual, after any platform fallback
+		resMode = "poll"
+		if !g.Polled() {
+			resMode = "group" // no poller on this platform
+		}
 	}
 
 	type client struct {

@@ -21,23 +21,29 @@ func raiseFDLimit(need uint64) error {
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
 		return err
 	}
-	if lim.Cur >= need {
+	soft, hard := uint64(lim.Cur), uint64(lim.Max)
+	if soft >= need {
 		return nil
 	}
-	if lim.Max >= need {
-		lim.Cur = need
+	if hard >= need {
+		setRlim(&lim.Cur, need)
 		if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
 			return fmt.Errorf("raising RLIMIT_NOFILE soft limit %d -> %d (hard %d): %w",
-				lim.Cur, need, lim.Max, err)
+				soft, need, hard, err)
 		}
 		return nil
 	}
 	try := lim
-	try.Cur, try.Max = need, need
+	setRlim(&try.Cur, need)
+	setRlim(&try.Max, need)
 	if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &try); err == nil {
 		return nil
 	}
 	return fmt.Errorf("RLIMIT_NOFILE too low: need %d fds, soft limit %d, hard limit %d "+
 		"(raise it with `ulimit -Hn`/LimitNOFILE= or grant CAP_SYS_RESOURCE)",
-		need, lim.Cur, lim.Max)
+		need, soft, hard)
 }
+
+// setRlim stores v in an Rlimit field, which is uint64 on most unixes but
+// int64 on FreeBSD.
+func setRlim[T int64 | uint64](f *T, v uint64) { *f = T(v) }

@@ -125,7 +125,7 @@ func TestAcceptPauseSharded(t *testing.T) {
 		t.Skip("no poller")
 	}
 	g := buf.NewGovernor(buf.GovernorConfig{LimitBytes: 1000, HighWaterFrac: 0.8, LowWaterFrac: 0.5})
-	grp := NewGroupMode(2, ModePoll)
+	grp := NewGroup(2)
 	defer grp.Close()
 	ln, err := Listen("tcp", "127.0.0.1:0", Config{Group: grp, Governor: g})
 	if err != nil {

@@ -75,9 +75,14 @@ func TestChaosReadReset(t *testing.T) {
 					t.Fatalf("terminal error is nil")
 				}
 			case <-time.After(5 * time.Second):
-				// The injected reset may have landed on b's reader instead;
-				// a then sees a peer close, which is EOF, not an error — and
-				// OnError only fires at teardown. Force it.
+				// The injected reset may have landed on b's reader instead
+				// (a reader goroutine consults the hook before it blocks,
+				// so one that starts late takes the fault). An injected
+				// reset leaves b's socket open, unlike a real one, so close
+				// b as the reset would have; a then sees a peer close,
+				// which is EOF, not an error — and OnError only fires at
+				// teardown. Force it.
+				b.Close()
 				a.Close()
 				select {
 				case <-errs:

@@ -15,28 +15,25 @@
 //
 // Concurrency model: protocol work for a connection executes serially on
 // an rt.Loop event goroutine, preserving the simulator's "no locks above
-// the kernel" invariant. Three runtime shapes exist:
+// the kernel" invariant. A connection's I/O shape follows from its loop,
+// not from an option:
 //
-//   - Per-connection loops (the default): each connection owns a loop, a
-//     reader goroutine, and a writer goroutine — 3 goroutines per
-//     connection, maximum isolation.
-//   - Shared loops (Config.Group, ModeShared): a Group multiplexes N
-//     connections per loop, one loop per core. Each connection keeps only
-//     its reader goroutine; event work enters the loop through a
-//     per-connection FIFO lane (preserving delivery order), and queued
-//     writes drain through the loop's shared writer in 20 ms fairness
-//     slices of vectored batches. 2 goroutines per loop plus 1 reader per
-//     connection.
-//   - Poll mode (Config.Group, ModePoll — the Group default on Linux):
-//     each loop owns a readiness poller (epoll) registered edge-triggered
-//     on every connection's fd, and the loop's event goroutine parks in
-//     it. Reads and writes run non-blocking on the event goroutine
-//     itself; a peer that stops reading parks its connection until
-//     EPOLLOUT instead of costing loop-mates fairness slices. 2
-//     goroutines per loop, zero per connection — the shape whose
-//     per-connection cost is a map entry and an epoll registration.
+//   - Polled (Config.Group on Linux): each group loop owns a readiness
+//     poller (epoll) registered edge-triggered on every connection's fd,
+//     and the loop's event goroutine parks in it. Reads and writes run
+//     non-blocking on the event goroutine itself; a peer that stops
+//     reading parks its connection until EPOLLOUT. One goroutine per
+//     loop, zero per connection — the shape whose per-connection cost is
+//     a map entry and an epoll registration.
+//   - Reader/writer pair (everything else): the connection runs a
+//     blocking reader goroutine and a blocking writer goroutine. Without
+//     a Group it also owns its loop (3 goroutines per connection, maximum
+//     isolation — the default); on a group loop without a poller (no
+//     poller on the platform, the kernel refused one, or the socket could
+//     not be registered) it shares the loop and event work enters it
+//     through a per-connection FIFO lane, preserving delivery order.
 //
-// Either way, buffers cross the socket boundary by reference: the
+// In both shapes buffers cross the socket boundary by reference: the
 // zero-copy ownership conventions of the datagram datapath hold end to
 // end, and writers coalesce queued pooled buffers into single vectored
 // writes (net.Buffers/writev) instead of one syscall per record.

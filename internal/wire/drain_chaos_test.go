@@ -28,11 +28,7 @@ func TestChaosDrainDuringFaultStorm(t *testing.T) {
 				t.Skip("no poller")
 			}
 			chaosCheck(t)
-			wmode := ModeShared
-			if mode == "poll" {
-				wmode = ModePoll
-			}
-			grp := NewGroupMode(2, wmode)
+			grp := newGroup(2, mode == "poll")
 			ln, err := Listen("tcp", "127.0.0.1:0", Config{Group: grp, NoDelay: true})
 			if err != nil {
 				t.Fatalf("Listen: %v", err)

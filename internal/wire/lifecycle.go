@@ -260,7 +260,7 @@ func (c *Conn) abortOnLoop(err error) {
 		c.Close()
 		return
 	}
-	// Reader/writer-goroutine shapes: latch, then kick both blocked
+	// Reader/writer goroutines: latch, then kick both blocked
 	// syscalls out with past deadlines. The reader surfaces the latched
 	// cause instead of the deadline error; the writer sees werr set and
 	// fails its queue.
@@ -271,9 +271,6 @@ func (c *Conn) abortOnLoop(err error) {
 	}
 	c.wcond.Broadcast()
 	c.wmu.Unlock()
-	if c.nw != nil {
-		c.nw.enqueue(c)
-	}
 	past := time.Unix(1, 0)
 	c.nc.SetReadDeadline(past)
 	c.nc.SetWriteDeadline(past)

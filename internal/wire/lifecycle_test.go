@@ -12,53 +12,20 @@ import (
 	"minion/internal/tcp"
 )
 
-// lifecyclePair builds a conn pair in the requested group mode (or
-// dedicated loops when g is nil for both sides).
+// lifecyclePair builds a conn pair in the requested I/O shape: dedicated
+// loops, group loops without pollers ("shared"), or polled group loops.
 func lifecyclePair(t *testing.T, mode string, cfg Config) (*Conn, *Conn) {
 	t.Helper()
 	switch mode {
 	case "dedicated":
 		return pipePair(t, cfg)
 	case "shared":
-		gA, gB := NewGroupMode(1, ModeShared), NewGroupMode(1, ModeShared)
-		t.Cleanup(func() { gA.Close(); gB.Close() })
-		cfgA, cfgB := cfg, cfg
-		cfgA.Group, cfgB.Group = gA, gB
-		return pipePairCfg(t, cfgA, cfgB)
+		return sharedPair(t, cfg)
 	case "poll":
 		return pollPair(t, cfg)
 	}
 	t.Fatalf("unknown mode %q", mode)
 	return nil, nil
-}
-
-// pipePairCfg is pipePair with distinct dial- and accept-side configs.
-func pipePairCfg(t *testing.T, cfgA, cfgB Config) (*Conn, *Conn) {
-	t.Helper()
-	ln, err := Listen("tcp", "127.0.0.1:0", cfgB)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ln.Close()
-	type res struct {
-		c   *Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := ln.Accept()
-		ch <- res{c, err}
-	}()
-	a, err := Dial("tcp", ln.Addr().String(), cfgA)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatalf("Accept: %v", r.err)
-	}
-	t.Cleanup(func() { a.Close(); r.c.Close() })
-	return a, r.c
 }
 
 // watchErr registers an OnError hook and returns the channel its terminal
@@ -227,25 +194,38 @@ func TestCloseDuringParkedWrite(t *testing.T) {
 	}
 }
 
+// TestCloseLingerBounded: against a peer that never drains, Close's
+// linger must bound the writer. Close itself returns at once (teardown
+// runs in the background), so the test waits on the write side actually
+// finishing, and counts the writes it issues after Close: a write failed
+// by the linger deadline is terminal, not a cue to retry.
 func TestCloseLingerBounded(t *testing.T) {
-	// A peer that never drains must not pin Close longer than the linger.
-	a, _ := pipePair(t, stallConfig(Config{}))
-	fillUntilStall(t, a)
-	old := closeLinger.Load()
-	closeLinger.Store(int64(150 * time.Millisecond))
-	defer closeLinger.Store(old)
-	start := time.Now()
-	done := make(chan struct{})
-	go func() { a.Close(); close(done) }()
-	select {
-	case <-done:
-		// Generous upper bound: linger on the write side plus the read side
-		// plus scheduling noise.
-		if el := time.Since(start); el > 2*time.Second {
-			t.Fatalf("Close took %v with a 150ms linger", el)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("Close ignored the linger bound")
+	const linger = 150 * time.Millisecond
+	for _, mode := range []string{"dedicated", "shared", "poll"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "poll" && !pollSupported {
+				t.Skip("no poller")
+			}
+			a, _ := lifecyclePair(t, mode, stallConfig(Config{}))
+			fillUntilStall(t, a)
+			old := closeLinger.Load()
+			closeLinger.Store(int64(linger))
+			defer closeLinger.Store(old)
+			writes := ReadIOStats().TCPWriteCalls
+			start := time.Now()
+			a.Close()
+			select {
+			case <-a.writerDone:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("writer still running 5s after Close with a %v linger", linger)
+			}
+			if el := time.Since(start); el > linger+250*time.Millisecond {
+				t.Errorf("writer finished %v after Close, want within linger %v + 250ms", el, linger)
+			}
+			if n := ReadIOStats().TCPWriteCalls - writes; n > 4 {
+				t.Errorf("%d socket writes after Close against a stalled peer, want at most 4", n)
+			}
+		})
 	}
 }
 

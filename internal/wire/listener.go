@@ -15,7 +15,7 @@ import (
 //     Accept blocks in net.Listener.Accept, and each accepted connection
 //     is placed on the least-loaded group loop (or its own dedicated
 //     loop without a Group).
-//   - SO_REUSEPORT-sharded (Linux poll-mode groups): every loop in the
+//   - SO_REUSEPORT-sharded (Linux groups with pollers): every loop in the
 //     group owns its own listening socket bound to the same address,
 //     registered edge-triggered on that loop's poller. The kernel hashes
 //     each incoming 4-tuple to one of the sockets, so accepts are
@@ -25,7 +25,7 @@ import (
 //     core. See listener_linux.go.
 //
 // Sharding engages automatically in Listen when the config carries a
-// poll-mode Group on a platform with SO_REUSEPORT support; any setup
+// Group with pollers on a platform with SO_REUSEPORT support; any setup
 // failure falls back to the single-socket shape, which is always
 // correct, just serialized.
 type Listener struct {
@@ -43,7 +43,7 @@ const acceptRetry = 10 * time.Millisecond
 // Listen announces on addr and returns a Listener whose accepted
 // connections use cfg (including its Group, for shared-loop accepting).
 func Listen(network, addr string, cfg Config) (*Listener, error) {
-	if cfg.Group != nil && cfg.Group.Mode() == ModePoll {
+	if cfg.Group != nil && cfg.Group.Polled() {
 		switch network {
 		case "tcp", "tcp4", "tcp6":
 			if ss, ok := listenSharded(network, addr, cfg); ok {

@@ -35,9 +35,6 @@ import (
 // assigned token (not the fd) so a descriptor number recycled by the
 // kernel can never route a stale event to the wrong connection.
 
-// pollSupported selects poll as the default Group mode on this platform.
-const pollSupported = true
-
 // Event bits, spelled locally: the syscall package declares EPOLLET as a
 // negative untyped int (bit 31 of the kernel's uint32 mask), which does
 // not combine cleanly with the others.
@@ -89,7 +86,7 @@ type poller struct {
 }
 
 // newPoller builds a poller over a fresh epoll instance; ok is false if
-// the kernel refuses (the caller degrades to shared mode). The caller
+// the kernel refuses (the group then runs without pollers). The caller
 // installs it on its loop with rt.Loop.SetParker.
 func newPoller() (*poller, bool) {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)

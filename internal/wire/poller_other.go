@@ -5,21 +5,26 @@ package wire
 import (
 	"errors"
 	"net"
+	"time"
 )
 
 // Non-Linux platforms have no readiness poller yet (a kqueue counterpart
-// would slot in exactly here): Groups silently fall back to the shared
-// reader/writer shape and every poll hook below is inert, keeping the
-// package portable without build-tagging the core connection code.
-
-// pollSupported selects poll as the default Group mode on this platform.
-const pollSupported = false
+// would slot in exactly here): newPoller always fails, so Groups run
+// without pollers — every connection gets the reader/writer goroutine
+// pair — and every poll hook below is inert, keeping the package portable
+// without build-tagging the core connection code.
 
 var errNoPoller = errors.New("wire: readiness poller not supported on this platform")
 
 type poller struct{}
 
 func newPoller() (*poller, bool) { return nil, false }
+
+// Park and Wake satisfy rt.Parker for the group's SetParker call, which
+// never runs here (newPoller never returns a poller).
+func (p *poller) Park(d time.Duration) {}
+
+func (p *poller) Wake() {}
 
 func (p *poller) register(fd int, t pollTarget) (int32, bool) { return 0, false }
 

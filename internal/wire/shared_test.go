@@ -12,39 +12,25 @@ import (
 	"minion/internal/tcp"
 )
 
-// sharedPair returns two wire Conns joined by loopback TCP, both attached
-// to shared-loop groups (one per side, like a real client and server
+// The Shared tests and "shared" subtests cover group loops without
+// pollers: connections share their group's loops but each runs its own
+// reader and writer goroutines — the shape every group runs where the
+// platform has no poller, driven on Linux through newGroup(n, false).
+
+// sharedPair returns two wire Conns joined by loopback TCP, each attached
+// to a group without pollers (one per side, like a real client and server
 // process).
 func sharedPair(t *testing.T, cfg Config) (*Conn, *Conn) {
 	t.Helper()
-	gA, gB := NewGroupMode(2, ModeShared), NewGroupMode(2, ModeShared)
+	gA, gB := newGroup(2, false), newGroup(2, false)
 	t.Cleanup(func() { gA.Close(); gB.Close() })
 	cfgA, cfgB := cfg, cfg
 	cfgA.Group, cfgB.Group = gA, gB
-	ln, err := Listen("tcp", "127.0.0.1:0", cfgB)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
+	a, b := pipePairCfg(t, cfgA, cfgB)
+	if a.pl != nil || b.pl != nil {
+		t.Fatalf("connections attached to a poller in a group without pollers")
 	}
-	defer ln.Close()
-	type res struct {
-		c   *Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := ln.Accept()
-		ch <- res{c, err}
-	}()
-	a, err := Dial("tcp", ln.Addr().String(), cfgA)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatalf("Accept: %v", r.err)
-	}
-	t.Cleanup(func() { a.Close(); r.c.Close() })
-	return a, r.c
+	return a, b
 }
 
 func TestSharedStreamRoundTrip(t *testing.T) {
@@ -64,9 +50,9 @@ func TestSharedStreamRoundTrip(t *testing.T) {
 }
 
 func TestSharedBackpressureAndIntegrity(t *testing.T) {
-	// Many small writes through the shared writer's writev coalescing,
-	// against a small send budget: content must survive partial vectored
-	// writes and rotation intact and in order.
+	// Many small writes through the writer goroutine's writev
+	// coalescing, against a small send budget: content must survive
+	// partial vectored writes intact and in order.
 	a, b := sharedPair(t, Config{SendBufBytes: 8 * 1024})
 	const total = 128 * 1024
 	sent := 0
@@ -128,7 +114,7 @@ func TestSharedManyConnsOneGroupOrdered(t *testing.T) {
 	// 24 connections multiplexed on a 2-loop group, each streaming
 	// sequenced records; every connection's bytes must arrive in order
 	// (the per-lane FIFO guarantee).
-	g := NewGroupMode(2, ModeShared)
+	g := newGroup(2, false)
 	defer g.Close()
 	cfg := Config{NoDelay: true, Group: g}
 	ln, err := Listen("tcp", "127.0.0.1:0", cfg)
@@ -221,8 +207,14 @@ func TestSharedManyConnsOneGroupOrdered(t *testing.T) {
 	wg.Wait()
 }
 
+// TestGroupLoadsBalanced: accepted connections spread across the group's
+// loops within ±1. The ±1 guarantee belongs to the single-socket
+// least-loaded accept path, which groups without pollers take (a polled
+// listener shards accept across per-loop SO_REUSEPORT sockets, where the
+// spread is the kernel's hash — covered statistically by the root
+// package's TestShardedAcceptDistribution).
 func TestGroupLoadsBalanced(t *testing.T) {
-	g := NewGroupMode(4, ModeShared)
+	g := newGroup(4, false)
 	defer g.Close()
 	cfg := Config{Group: g}
 	ln, err := Listen("tcp", "127.0.0.1:0", cfg)
@@ -280,6 +272,43 @@ func TestGroupLoadsBalanced(t *testing.T) {
 	if max-min > 1 {
 		t.Fatalf("accepted connections spread %v beyond ±1 across loops", loads)
 	}
+}
+
+// TestUnpolledGroupListenerNotSharded pins the contract that sharded
+// accept needs pollers: a group without them keeps the single-socket
+// least-loaded accept path on every platform, and still accepts.
+func TestUnpolledGroupListenerNotSharded(t *testing.T) {
+	g := newGroup(2, false)
+	defer g.Close()
+	ln, err := Listen("tcp", "127.0.0.1:0", Config{Group: g})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	if ln.Sharded() {
+		t.Fatal("listener on a group without pollers reports Sharded() = true, want single-socket accept")
+	}
+	if got := ln.ShardAccepts(); got != nil {
+		t.Fatalf("ShardAccepts() = %v on a single-socket listener, want nil", got)
+	}
+	done := make(chan *Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Errorf("Accept: %v", err)
+		}
+		done <- c
+	}()
+	c, err := Dial("tcp", ln.Addr().String(), Config{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	sc := <-done
+	if sc == nil {
+		t.FailNow()
+	}
+	sc.Close()
 }
 
 func TestOnWritableFiresAfterDrain(t *testing.T) {

@@ -67,9 +67,9 @@ type Config struct {
 	// DialTimeout bounds the TCP connect in Dial (default: no bound). A
 	// timeout surfaces wrapped around ErrTimeout.
 	DialTimeout time.Duration
-	// Group, when non-nil, runs the connection in shared-loop mode on one
-	// of the group's event loops instead of a dedicated loop — see the
-	// package comment for the goroutine economics.
+	// Group, when non-nil, runs the connection on one of the group's
+	// event loops instead of a dedicated loop — see the package comment
+	// for the goroutine economics.
 	Group *Group
 	// Governor, when non-nil, meters this connection's queued send and
 	// receive bytes in the pool-wide resource governor (buf.Governor).
@@ -148,8 +148,7 @@ type Conn struct {
 	nc      net.Conn
 	cfg     Config
 	io      *ioCounters // this connection's I/O stat shard
-	ownLoop bool        // dedicated mode: loop (and writer goroutine) are ours
-	nw      *netWriter  // shared-loop writer; nil in dedicated and poll modes
+	ownLoop bool        // dedicated mode: the loop is ours
 	release func()      // group detach; nil in dedicated mode
 
 	// Poll mode (nil pl elsewhere): the loop's poller drives this
@@ -197,15 +196,15 @@ type Conn struct {
 	rclosed   bool
 
 	// Pad between the read side (reader goroutine + loop) and the write
-	// side (producer goroutines + servicing writer): the two sides are
+	// side (producer goroutines + the writer): the two sides are
 	// driven by different goroutines at full rate, and sharing a cache
 	// line between rmu/rInFlight and wmu/wqBytes makes every send
 	// invalidate the receive path's line and vice versa.
 	_ [64]byte
 
-	// Writer queue (any goroutine -> servicing writer).
+	// Writer queue (any goroutine -> the writer goroutine or poll path).
 	wmu        sync.Mutex
-	wcond      *sync.Cond // dedicated-writer wakeup
+	wcond      *sync.Cond // writer-goroutine wakeup
 	wq         []*buf.Buffer
 	wqBytes    int // queued plus in-flight bytes not yet taken by the kernel
 	werr       error
@@ -214,11 +213,10 @@ type Conn struct {
 	wNotify    bool          // a rejected WriteMsgBuf armed OnWritable
 	wStall     time.Duration // write-stall clock, loop time (0 = off)
 
-	// In-flight vectored-write state; owned by the goroutine currently
-	// servicing the connection (see writer.go).
+	// In-flight vectored-write state; owned by the writer goroutine (see
+	// writer.go).
 	pend      net.Buffers
 	pendOwned []*buf.Buffer
-	inDirty   bool // guarded by nw.mu
 
 	wdone      sync.Once
 	writerDone chan struct{} // send side flushed (or dead)
@@ -229,12 +227,11 @@ type Conn struct {
 // Conn implements the framing layers' transport contract.
 var _ tcp.Stream = (*Conn)(nil)
 
-// NewConn wraps an established net.Conn. In dedicated mode (no
-// cfg.Group) it starts the connection's own event loop plus reader and
-// writer goroutines; in shared-loop mode it attaches to the least-loaded
-// group loop and starts only the reader; in poll mode it registers the
-// socket with the loop's poller and starts nothing at all. The caller
-// must Close the returned Conn to release them.
+// NewConn wraps an established net.Conn. With cfg.Group it attaches to
+// the least-loaded group loop and, if that loop has a poller, registers
+// the socket with it and starts no goroutine. Otherwise it starts a
+// reader and a writer goroutine (and, without a Group, a loop of its
+// own). The caller must Close the returned Conn to release them.
 func NewConn(nc net.Conn, cfg Config) *Conn {
 	return newConn(nc, cfg, -1)
 }
@@ -255,8 +252,8 @@ func newConn(nc net.Conn, cfg Config, shard int) *Conn {
 	}
 	var pl *poller
 	if cfg.Group != nil {
-		if loop, nw, p, release, ok := cfg.Group.assign(shard); ok {
-			c.loop, c.nw, c.release = loop, nw, release
+		if loop, p, release, ok := cfg.Group.assign(shard); ok {
+			c.loop, c.release = loop, release
 			pl = p
 		}
 	}
@@ -280,13 +277,8 @@ func newConn(nc net.Conn, cfg Config, shard int) *Conn {
 	}
 	// The lane and conds must exist before registration: the initial
 	// readiness edges can fire the moment the fd enters the epoll set.
-	if pl != nil && c.pollInit(pl) {
-		c.nw = nil // the poll path owns the write side
-		c.armWatchdog()
-		return c
-	}
-	go c.readLoop()
-	if c.ownLoop {
+	if pl == nil || !c.pollInit(pl) {
+		go c.readLoop()
 		go c.writeLoop()
 	}
 	c.armWatchdog()
@@ -391,8 +383,8 @@ func (c *Conn) govCharge(d int) {
 }
 
 // creditRead returns consumed bytes to the receive flow-control budget:
-// the reader goroutine's in poll-less modes, the loop-confined poll
-// budget (resuming a budget-stalled drain) in poll mode.
+// the reader goroutine's without a poller, the loop-confined poll budget
+// (resuming a budget-stalled drain) when polled.
 func (c *Conn) creditRead(n int) {
 	if c.pl != nil {
 		c.pollCredit(n)
@@ -466,19 +458,15 @@ func (c *Conn) WriteMsgBuf(b *buf.Buffer, opt tcp.WriteOptions) (int, error) {
 		// write) still gets its drain notification.
 		c.wNotify = true
 	}
-	switch {
-	case c.pl != nil:
+	if c.pl != nil {
 		c.wmu.Unlock()
 		// Coalesced service request; a parked connection ignores it (the
 		// EPOLLOUT edge is the only legal retry), so a stalled peer costs
 		// nothing per queued write.
 		c.wSig.Raise()
-	case c.nw == nil:
+	} else {
 		c.wcond.Signal()
 		c.wmu.Unlock()
-	default:
-		c.wmu.Unlock()
-		c.nw.enqueue(c)
 	}
 	return n, nil
 }
@@ -509,7 +497,7 @@ func (c *Conn) SendBufAvailable() int {
 // Close implements tcp.Stream: a graceful teardown. Queued writes drain
 // and the send side half-closes, the receive side keeps delivering until
 // the peer closes or a linger timeout passes, then the socket shuts down
-// (and, in dedicated mode, the event loop with it; a shared loop lives on
+// (and, in dedicated mode, the event loop with it; a group loop lives on
 // for its other connections). Close returns immediately; it is idempotent
 // and safe from any goroutine, including loop callbacks.
 func (c *Conn) Close() {
@@ -519,24 +507,21 @@ func (c *Conn) Close() {
 		c.wclosed = true
 		c.wcond.Broadcast()
 		c.wmu.Unlock()
-		if c.nw != nil {
-			// Wake the shared writer so it notices the flush point even
-			// when no data is queued.
-			c.nw.enqueue(c)
-		}
 		if c.pl != nil {
-			// Same flush-point nudge for the poll path.
+			// Wake the poll path so it notices the flush point even when
+			// no data is queued.
 			c.wSig.Raise()
 		}
 		go func() {
 			// Bound the drain too: a peer that stopped reading leaves
 			// queued data that will never flush, and Close must not wait
-			// on it forever. The reader/writer shapes bound it with a
-			// write deadline that fails the blocked socket write; the
-			// poll shape has no blocked write to fail — a stalled
-			// connection is parked — so the queue is aborted explicitly
-			// on the loop when the linger expires. Either way the writer
-			// finishes releasing its buffers within the linger.
+			// on it forever. The writer goroutine is bounded by a write
+			// deadline, whose expiry fails the blocked socket write and
+			// with it the queue; a polled connection has no blocked
+			// write to fail — a stalled one is parked — so its queue is
+			// aborted explicitly on the loop when the linger expires.
+			// Either way the writer finishes releasing its buffers
+			// within the linger.
 			linger := time.Duration(closeLinger.Load())
 			if c.aborted.Load() {
 				// Abort already failed both directions; don't re-extend
@@ -571,10 +556,10 @@ func (c *Conn) Close() {
 
 // teardown force-closes the socket, unblocks the reader, and returns any
 // undelivered receive buffers to the pool. Dedicated mode stops the event
-// loop; shared mode runs the final cleanup as the last entry on the
-// connection's lane and detaches from the group; poll mode unregisters
-// from the poller on the loop before the socket closes, so no syscall can
-// race the kernel recycling the fd.
+// loop; on a group loop the final cleanup runs as the last entry on the
+// connection's lane and the connection detaches from the group; a polled
+// connection unregisters from the poller on the loop before the socket
+// closes, so no syscall can race the kernel recycling the fd.
 func (c *Conn) teardown() {
 	if c.pl != nil {
 		// Do, not Post: a racing group shutdown can close the loop after

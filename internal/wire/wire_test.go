@@ -14,7 +14,13 @@ import (
 // pipePair returns two wire Conns joined by a real loopback TCP socket.
 func pipePair(t *testing.T, cfg Config) (*Conn, *Conn) {
 	t.Helper()
-	ln, err := Listen("tcp", "127.0.0.1:0", cfg)
+	return pipePairCfg(t, cfg, cfg)
+}
+
+// pipePairCfg is pipePair with distinct dial- and accept-side configs.
+func pipePairCfg(t *testing.T, cfgA, cfgB Config) (*Conn, *Conn) {
+	t.Helper()
+	ln, err := Listen("tcp", "127.0.0.1:0", cfgB)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -28,7 +34,7 @@ func pipePair(t *testing.T, cfg Config) (*Conn, *Conn) {
 		c, err := ln.Accept()
 		ch <- res{c, err}
 	}()
-	a, err := Dial("tcp", ln.Addr().String(), cfg)
+	a, err := Dial("tcp", ln.Addr().String(), cfgA)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

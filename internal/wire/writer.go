@@ -1,61 +1,41 @@
 package wire
 
 import (
-	"net"
-	"sync"
+	"errors"
+	"os"
 	"time"
+
+	"minion/internal/tcp"
 )
 
-// The write side of a wire connection runs in one of two shapes:
+// Without a poller, a wire connection's write side is a dedicated writer
+// goroutine running writeLoop: it blocks for queued pooled buffers and
+// drains them to the socket in vectored writes (writev), free to block in
+// the kernel on a slow peer. (Polled connections write from the loop
+// instead; see pollWrite.)
 //
-//   - dedicated (per-connection loop mode): the connection owns a writer
-//     goroutine running writeLoop, free to block in the kernel on a slow
-//     peer — the PR-2 structure, now coalescing its queue into vectored
-//     writes.
-//   - shared (LoopGroup mode): connections on one event loop share one
-//     netWriter goroutine. Each service slice drains one connection's
-//     whole queue with a single vectored write under a short deadline, so
-//     a peer that stops reading costs at most one slice before the writer
-//     rotates on; a stalled connection re-enters the rotation after a
-//     backoff instead of immediately, so it cannot monopolize the slice
-//     budget.
-//
-// Both shapes call writeBatch, which owns the vectored-write state and
-// the buffer-release discipline: a pooled buffer's reference is held from
-// WriteMsgBuf until the kernel has consumed all of its bytes (or the
-// write side dies), so the zero-copy ownership conventions hold across
-// partial writes.
-
-const (
-	// writerSlice bounds one shared-writer service, keeping rotation fair
-	// when a connection's peer stops reading.
-	writerSlice = 20 * time.Millisecond
-	// writerBackoff delays re-service of a connection whose last slice
-	// wrote zero bytes (socket buffer full), letting healthy connections
-	// cycle in the meantime.
-	writerBackoff = 20 * time.Millisecond
-)
+// writeBatch owns the vectored-write state and the buffer-release
+// discipline: a pooled buffer's reference is held from WriteMsgBuf until
+// the kernel has consumed all of its bytes (or the write side dies), so
+// the zero-copy ownership conventions hold across partial writes.
 
 // writevMaxIOV mirrors the kernel's IOV_MAX chunking inside
 // net.Buffers.WriteTo: a batch of more entries costs one writev per chunk.
 const writevMaxIOV = 1024
 
 // writeBatch moves the queued buffers into the in-flight vector and
-// issues one vectored write (writev on Linux). deadline, when nonzero,
-// bounds the kernel write — the shared writer's fairness slice; the
-// dedicated writer passes zero and blocks. It returns whether the
-// connection needs no further service and how many bytes the kernel took.
+// issues one blocking vectored write. It reports whether the connection
+// needs no further service.
 //
-// Exactly one goroutine services a connection at a time (its dedicated
-// writer, or the netWriter that popped it from the dirty list), so the
-// in-flight fields pend/pendOwned are accessed without wmu.
-func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
+// Only the writer goroutine touches the in-flight fields pend/pendOwned,
+// so they are accessed without wmu.
+func (c *Conn) writeBatch() (idle bool) {
 	c.wmu.Lock()
 	if c.werr != nil {
 		c.failWritesLocked()
 		c.wmu.Unlock()
 		c.writerFinish()
-		return true, 0
+		return true
 	}
 	for _, b := range c.wq {
 		c.pend = append(c.pend, b.Bytes())
@@ -69,7 +49,7 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 		if finished {
 			c.writerFinish()
 		}
-		return true, 0
+		return true
 	}
 	c.wmu.Unlock()
 
@@ -80,12 +60,10 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 		}
 		if _, ferr, ok := faultWrite(size); ok && ferr != nil {
 			if faultAgain(ferr) {
-				// Injected backpressure: hold the in-flight vector and let
-				// the servicing writer retry after a beat (the dedicated
-				// loop spins right back; the shared writer's zero-progress
-				// backoff re-enqueues).
+				// Injected backpressure: hold the in-flight vector and
+				// retry after a beat.
 				time.Sleep(faultRetryDelay)
-				return false, 0
+				return false
 			}
 			c.wmu.Lock()
 			if c.werr == nil {
@@ -95,13 +73,10 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 			c.wmu.Unlock()
 			c.writerFinish()
 			c.postError(ferr)
-			return true, 0
+			return true
 		}
 		// Partial-write caps are a poll-mode injection; the blocking
-		// shapes ignore them (net.Buffers.WriteTo offers no clean seam).
-	}
-	if !deadline.IsZero() {
-		c.nc.SetWriteDeadline(deadline)
+		// writer ignores them (net.Buffers.WriteTo offers no clean seam).
 	}
 	pre := len(c.pend)
 	n, err := c.pend.WriteTo(c.nc)
@@ -119,9 +94,17 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 	c.wmu.Lock()
 	c.wqBytes -= int(n)
 	c.govCharge(-int(n))
-	died := err != nil && !isTimeout(err) && c.werr == nil
-	if died {
-		c.werr = err
+	died := false
+	if err != nil && c.werr == nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// Close's linger expired on a peer that stopped reading: the
+			// queue can never flush. Fail it as the poll path's linger
+			// abort does (pollAbortWrites) and let teardown report it.
+			c.werr = tcp.ErrClosed
+		} else {
+			c.werr = err
+			died = true
+		}
 		c.failWritesLocked()
 	}
 	c.noteWriteProgressLocked(c.wqBytes > 0 && c.werr == nil, n > 0)
@@ -137,9 +120,9 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 	}
 	if finished {
 		c.writerFinish()
-		return true, n
+		return true
 	}
-	return flushed, n
+	return flushed
 }
 
 // failWritesLocked releases every buffer still queued or in flight after
@@ -177,8 +160,8 @@ func (c *Conn) writerFinish() {
 	c.wdone.Do(func() { close(c.writerDone) })
 }
 
-// writeLoop is the dedicated writer goroutine (per-connection loop mode):
-// it blocks for queued pooled buffers and drains them to the socket in
+// writeLoop is the writer goroutine of a connection without a poller: it
+// blocks for queued pooled buffers and drains them to the socket in
 // vectored batches.
 func (c *Conn) writeLoop() {
 	defer c.writerFinish()
@@ -190,10 +173,10 @@ func (c *Conn) writeLoop() {
 		stop := c.werr != nil || (c.wclosed && len(c.wq) == 0 && len(c.pend) == 0)
 		c.wmu.Unlock()
 		if stop {
-			c.writeBatch(time.Time{}) // release any post-error stragglers
+			c.writeBatch() // release any post-error stragglers
 			return
 		}
-		if idle, _ := c.writeBatch(time.Time{}); idle {
+		if c.writeBatch() {
 			c.wmu.Lock()
 			dead := c.werr != nil || c.wclosed
 			c.wmu.Unlock()
@@ -202,85 +185,6 @@ func (c *Conn) writeLoop() {
 			}
 		}
 	}
-}
-
-// netWriter is the shared writer goroutine for one event loop in
-// LoopGroup mode: connections with queued data enter its dirty list and
-// are serviced round-robin, one vectored write per turn.
-type netWriter struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	dirty  []*Conn
-	closed bool
-	done   chan struct{}
-}
-
-func newNetWriter() *netWriter {
-	w := &netWriter{done: make(chan struct{})}
-	w.cond = sync.NewCond(&w.mu)
-	go w.run()
-	return w
-}
-
-// enqueue adds c to the dirty rotation (no-op if already queued or the
-// writer shut down).
-func (w *netWriter) enqueue(c *Conn) {
-	w.mu.Lock()
-	if w.closed || c.inDirty {
-		w.mu.Unlock()
-		return
-	}
-	c.inDirty = true
-	w.dirty = append(w.dirty, c)
-	w.cond.Signal()
-	w.mu.Unlock()
-}
-
-// close drains the remaining dirty list and stops the goroutine.
-func (w *netWriter) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	<-w.done
-}
-
-func (w *netWriter) run() {
-	defer close(w.done)
-	for {
-		w.mu.Lock()
-		for len(w.dirty) == 0 && !w.closed {
-			w.cond.Wait()
-		}
-		if len(w.dirty) == 0 {
-			w.mu.Unlock()
-			return
-		}
-		c := w.dirty[0]
-		copy(w.dirty, w.dirty[1:])
-		w.dirty[len(w.dirty)-1] = nil
-		w.dirty = w.dirty[:len(w.dirty)-1]
-		c.inDirty = false
-		w.mu.Unlock()
-
-		idle, wrote := c.writeBatch(time.Now().Add(writerSlice))
-		if !idle {
-			if wrote > 0 {
-				w.enqueue(c)
-			} else {
-				// Zero progress: the peer's socket buffer is full. Rejoin
-				// the rotation after a beat instead of burning slices.
-				time.AfterFunc(writerBackoff, func() { w.enqueue(c) })
-			}
-		}
-	}
-}
-
-// isTimeout reports whether err is a write-deadline expiry (the shared
-// writer's rotation signal, not a connection failure).
-func isTimeout(err error) bool {
-	ne, ok := err.(net.Error)
-	return ok && ne.Timeout()
 }
 
 func clearBufs[T any](s []T) {

@@ -15,8 +15,8 @@
 // Endpoints run over two substrates: NewPair wires a connected pair
 // through simulated network paths (minion/internal/netem) on the
 // deterministic simulator, while Dial/Listen/DialUDP run the same framing
-// layers over real kernel sockets (see wire.go — LoopGroup/LoopMode pick
-// the event-loop shape at scale). Negotiate implements the simple
+// layers over real kernel sockets (see wire.go — a LoopGroup shares
+// event loops across connections at scale). Negotiate implements the simple
 // "try UDP, fall back to the TCP family" selection the paper describes
 // applications using today (§3.2).
 //

@@ -17,56 +17,21 @@ import (
 // with strict per-connection ordering, the constant-goroutine shape, and
 // the TrySend completion-reporting contract (Options.OnResult).
 
-// pollEchoServer is sharedEchoServer with an explicit loop mode.
-func pollEchoServer(t *testing.T, proto Protocol, loops int, mode LoopMode) (addr string, stop func()) {
-	t.Helper()
-	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Loops: loops, Mode: mode}.
-		Listen(proto, "tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var conns []Conn
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, c)
-			mu.Unlock()
-			c.OnMessage(func(msg []byte) { c.Send(msg, Options{}) })
-		}
-	}()
-	return ln.Addr().String(), func() {
-		ln.Close()
-		wg.Wait()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-}
-
 // TestLoopbackPollLoops512 is the poll-mode scale proof: 512 concurrent
 // connections multiplexed over a handful of epoll-parked loops on each
 // side — zero goroutines per connection — with every connection's echoes
 // arriving strictly in order, under -race. On platforms without a
-// poller the mode degrades to shared loops and the test still holds.
+// poller the groups run reader/writer goroutines and the order check
+// still holds.
 func TestLoopbackPollLoops512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
 	}
 	const nConns = 512
 	const perConn = 4
-	addr, stop := pollEchoServer(t, ProtoUCOBSTCP, 4, LoopPoll)
+	addr, stop := sharedEchoServer(t, ProtoUCOBSTCP, 4)
 	defer stop()
-	g := NewLoopGroupMode(4, LoopPoll)
+	g := NewLoopGroup(4)
 	defer g.Close()
 	dc := DialConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: g}
 
@@ -125,11 +90,11 @@ func TestLoopbackPollLoops512(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if g.Mode() == "poll" {
+	if g.Polled() {
 		// The whole point: 512 connections (plus the server's 512) added
 		// no per-connection goroutines beyond the test's own driver
 		// goroutines (one per client conn here) and the fixed per-loop
-		// runtime. Shared mode would add 1024 readers on top.
+		// runtime. Reader/writer pairs would add 2048 on top.
 		if p := int(peak.Load()); p > baseline+nConns+64 {
 			t.Errorf("goroutines at full load: %d (baseline %d + %d test drivers): per-connection goroutines crept back into poll mode",
 				p, baseline, nConns)
@@ -144,7 +109,7 @@ func TestTrySendOnResultRealSocket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
 	}
-	addr, stop := pollEchoServer(t, ProtoUCOBSTCP, 1, LoopAuto)
+	addr, stop := sharedEchoServer(t, ProtoUCOBSTCP, 1)
 	defer stop()
 	c, err := Dial(ProtoUCOBSTCP, "tcp", addr, TCPConfig{NoDelay: true})
 	if err != nil {
@@ -174,8 +139,9 @@ func TestTrySendOnResultReportsDropAtClose(t *testing.T) {
 		t.Skip("real-socket test")
 	}
 	// A server that never reads, so the client's send path backs up and
-	// TrySend datagrams queue in the async retry queue.
-	ln, err := Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0", TCPConfig{SendBufBytes: 16 * 1024})
+	// TrySend datagrams queue in the async retry queue. Small kernel
+	// buffers keep loopback autotuning from absorbing the backlog.
+	ln, err := Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0", TCPConfig{SendBufBytes: 16 * 1024, SockRecvBufBytes: 4 * 1024})
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -188,7 +154,7 @@ func TestTrySendOnResultReportsDropAtClose(t *testing.T) {
 		}
 		accepted <- c // no OnMessage, no Recv: bytes pile up
 	}()
-	c, err := Dial(ProtoUCOBSTCP, "tcp", ln.Addr().String(), TCPConfig{SendBufBytes: 16 * 1024})
+	c, err := Dial(ProtoUCOBSTCP, "tcp", ln.Addr().String(), TCPConfig{SendBufBytes: 16 * 1024, SockSendBufBytes: 4 * 1024})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -199,9 +165,12 @@ func TestTrySendOnResultReportsDropAtClose(t *testing.T) {
 	var dropped atomic.Int64
 	accepted2 := 0
 	payload := make([]byte, 4096)
-	// Fill until the TrySend budget itself rejects: everything accepted
-	// beyond the transport's appetite sits in the retry queue.
-	for {
+	// Fill until the TrySend budget itself rejects and keeps rejecting:
+	// everything accepted beyond the transport's appetite sits in the
+	// retry queue. A single rejection is not enough — it can be a lane
+	// backlog the loop clears a moment later, when the transport still
+	// has room and nothing is left queued to drop.
+	for blocked := 0; blocked < 20; {
 		err := c.TrySend(payload, Options{OnResult: func(e error) {
 			reported.Add(1)
 			if e != nil {
@@ -209,11 +178,14 @@ func TestTrySendOnResultReportsDropAtClose(t *testing.T) {
 			}
 		}})
 		if errors.Is(err, ErrWouldBlock) {
-			break
+			blocked++
+			time.Sleep(5 * time.Millisecond)
+			continue
 		}
 		if err != nil {
 			t.Fatalf("TrySend: %v", err)
 		}
+		blocked = 0
 		accepted2++
 	}
 	if accepted2 == 0 {

@@ -73,7 +73,7 @@ func TestPollEcho10k(t *testing.T) {
 		nConns = budget
 	}
 
-	sg := NewLoopGroupMode(loops, LoopPoll)
+	sg := NewLoopGroup(loops)
 	defer sg.Close()
 	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: sg}.Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0")
 	if err != nil {
@@ -103,7 +103,7 @@ func TestPollEcho10k(t *testing.T) {
 		}
 	}()
 
-	cg := NewLoopGroupMode(loops, LoopPoll)
+	cg := NewLoopGroup(loops)
 	defer cg.Close()
 	dc := DialConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: cg}
 

@@ -14,9 +14,9 @@ import (
 // took it. With 2048 dials over 4 loops the kernel's hash is ~binomial
 // (σ ≈ 20 connections), so a ±20% per-shard tolerance (±102) sits past
 // 5σ — statistically safe, yet tight enough to catch a shard that is
-// dead or double-counted. Off Linux (or in shared mode) the listener
-// falls back to the single-socket least-loaded path and only the
-// fallback behavior is asserted.
+// dead or double-counted. Off Linux (no pollers) the listener falls back
+// to the single-socket least-loaded path and only the fallback behavior
+// is asserted.
 func TestShardedAcceptDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
@@ -29,7 +29,7 @@ func TestShardedAcceptDistribution(t *testing.T) {
 		nDials = 1024
 	}
 
-	sg := NewLoopGroupMode(loops, LoopPoll)
+	sg := NewLoopGroup(loops)
 	defer sg.Close()
 	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: sg}.Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,7 +43,7 @@ func TestShardedAcceptDistribution(t *testing.T) {
 		nDials = 32
 	}
 
-	cg := NewLoopGroupMode(loops, LoopPoll)
+	cg := NewLoopGroup(loops)
 	defer cg.Close()
 	dc := DialConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: cg}
 
@@ -167,47 +167,4 @@ func TestShardedAcceptDistribution(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// TestSharedModeListenerNotSharded pins the contract that sharded
-// accept is a poll-mode-only upgrade: a LoopShared group keeps the
-// single-socket least-loaded accept path on every platform.
-func TestSharedModeListenerNotSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-socket test")
-	}
-	g := NewLoopGroupMode(2, LoopShared)
-	defer g.Close()
-	ln, err := ListenConfig{Group: g}.Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ln.Close()
-	if ln.Sharded() {
-		t.Fatal("LoopShared listener reports Sharded() = true, want single-socket accept")
-	}
-	if got := ln.ShardAccepts(); got != nil {
-		t.Fatalf("ShardAccepts() = %v on a shared-mode listener, want nil", got)
-	}
-	// And it still accepts traffic.
-	done := make(chan Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			t.Errorf("Accept: %v", err)
-			done <- nil
-			return
-		}
-		done <- c
-	}()
-	c, err := Dial(ProtoUCOBSTCP, "tcp", ln.Addr().String(), TCPConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	sc := <-done
-	if sc == nil {
-		t.FailNow()
-	}
-	sc.Close()
 }

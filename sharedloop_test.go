@@ -2,6 +2,7 @@ package minion
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,21 +127,27 @@ func TestLoopbackSharedLoops512(t *testing.T) {
 
 // TestListenConfigLoadBalance: accepted connections spread across the
 // group's loops within ±1. The ±1 guarantee belongs to the single-socket
-// least-loaded accept path, so the mode is pinned to LoopShared (a
-// poll-mode listener shards accept across per-loop SO_REUSEPORT sockets,
-// where the spread is the kernel's hash — covered statistically by
-// TestShardedAcceptDistribution).
+// least-loaded accept path (a polled "tcp" listener shards accept across
+// per-loop SO_REUSEPORT sockets, where the spread is the kernel's hash —
+// covered statistically by TestShardedAcceptDistribution). A Unix-socket
+// listener never shards, and its connections are not TCP sockets the
+// poller takes, so on any platform this drives the single-socket accept
+// path and the reader/writer goroutine fallback on the group's loops.
 func TestListenConfigLoadBalance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
 	}
-	g := NewLoopGroupMode(4, LoopShared)
+	g := NewLoopGroup(4)
 	defer g.Close()
-	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: g}.Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0")
+	path := filepath.Join(t.TempDir(), "lb.sock")
+	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: g}.Listen(ProtoUCOBSTCP, "unix", path)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer ln.Close()
+	if ln.Sharded() {
+		t.Fatal("Unix-socket listener reports Sharded() = true, want single-socket accept")
+	}
 	const k = 18
 	accepted := make(chan Conn, k)
 	go func() {
@@ -161,7 +168,7 @@ func TestListenConfigLoadBalance(t *testing.T) {
 		}
 	}()
 	for i := 0; i < k; i++ {
-		c, err := Dial(ProtoUCOBSTCP, "tcp", ln.Addr().String(), TCPConfig{})
+		c, err := Dial(ProtoUCOBSTCP, "unix", path, TCPConfig{})
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
@@ -190,6 +197,24 @@ func TestListenConfigLoadBalance(t *testing.T) {
 	}
 	if max-min > 1 {
 		t.Fatalf("accepted connections spread %v beyond ±1", loads)
+	}
+	// The connections on the group's loops must still carry traffic in
+	// the fallback shape: a message from the first dialer reaches one of
+	// the accepted connections.
+	got := make(chan string, k)
+	for _, c := range conns[k:] {
+		c.OnMessage(func(msg []byte) { got <- string(msg) })
+	}
+	if err := conns[0].Send([]byte("ping"), Options{}); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	select {
+	case m := <-got:
+		if m != "ping" {
+			t.Fatalf("got %q, want %q", m, "ping")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no message over a group connection")
 	}
 }
 

@@ -67,62 +67,26 @@ func (p EvictPolicy) stallPolicy() wire.StallPolicy {
 	return wire.StallEvict
 }
 
-// LoopMode selects how a LoopGroup's event loops move bytes between
-// sockets and protocol state.
-type LoopMode int
-
-const (
-	// LoopAuto picks the platform's best mode: readiness-driven polling
-	// where the kernel supports it (Linux), shared writers elsewhere.
-	LoopAuto LoopMode = iota
-	// LoopShared is the rotating shared-writer shape: one blocking reader
-	// goroutine per connection, one writer per loop servicing dirty
-	// connections in 20 ms fairness slices.
-	LoopShared
-	// LoopPoll is the readiness-driven shape: an epoll poller per loop,
-	// zero goroutines per connection, stalled peers parked until the
-	// kernel reports writability. Falls back to LoopShared where
-	// unsupported.
-	LoopPoll
-)
-
-func (m LoopMode) wireMode() wire.Mode {
-	switch m {
-	case LoopShared:
-		return wire.ModeShared
-	case LoopPoll:
-		return wire.ModePoll
-	default:
-		return wire.DefaultMode()
-	}
-}
-
 // LoopGroup is a shared event-loop runtime for real-socket connections:
 // a loop per core (by default), each multiplexing many connections while
 // preserving per-connection callback ordering. Attach connections via
 // DialConfig.Group / ListenConfig.Group; a connection then costs zero
-// goroutines (poll mode) or one (its socket reader, shared mode) instead
-// of three.
+// goroutines where the platform has a readiness poller (Linux), or two
+// (its socket reader and writer) elsewhere, instead of three.
 //
 // Close stops the group once the last attached connection closes;
 // connections attached at Close time keep running until then.
 type LoopGroup struct{ g *wire.Group }
 
-// NewLoopGroup starts loops event loops in the platform's default mode
-// (LoopAuto: poll on Linux); loops <= 0 means GOMAXPROCS, the
-// loop-per-core default.
+// NewLoopGroup starts loops event loops, each with a readiness poller
+// where the platform has one (epoll on Linux); loops <= 0 means
+// GOMAXPROCS, the loop-per-core default.
 func NewLoopGroup(loops int) *LoopGroup { return &LoopGroup{g: wire.NewGroup(loops)} }
 
-// NewLoopGroupMode starts loops event loops in an explicit mode — the
-// knob benchmarks and A/B comparisons use; production code normally
-// wants NewLoopGroup's platform default.
-func NewLoopGroupMode(loops int, mode LoopMode) *LoopGroup {
-	return &LoopGroup{g: wire.NewGroupMode(loops, mode.wireMode())}
-}
-
-// Mode reports the mode the group actually runs, after any platform
-// fallback: "poll" or "shared".
-func (g *LoopGroup) Mode() string { return g.g.Mode().String() }
+// Polled reports whether the group's loops run readiness pollers, so
+// its connections do their I/O on the loops with no goroutines of their
+// own.
+func (g *LoopGroup) Polled() bool { return g.g.Polled() }
 
 // Len returns the number of loops.
 func (g *LoopGroup) Len() int { return g.g.Len() }
@@ -255,10 +219,6 @@ type ListenConfig struct {
 	// Loops sizes a listener-owned shared group (< 0: GOMAXPROCS;
 	// 0: dedicated loops per connection unless Group is set).
 	Loops int
-	// Mode selects the listener-owned group's I/O shape (LoopAuto picks
-	// the platform default). Ignored when Group is set — an external
-	// group carries its own mode.
-	Mode LoopMode
 	// Group, when non-nil, overrides Loops with an external group whose
 	// lifecycle the caller owns.
 	Group *LoopGroup
@@ -470,8 +430,8 @@ type Listener struct {
 }
 
 // Listen announces on addr for the given TCP-family protocol stack with
-// dedicated per-connection loops; use ListenConfig.Listen for the
-// shared-loop mode.
+// dedicated per-connection loops; use ListenConfig.Listen to share loops
+// across connections.
 func Listen(proto Protocol, network, addr string, cfg TCPConfig) (*Listener, error) {
 	return ListenConfig{TCPConfig: cfg}.Listen(proto, network, addr)
 }
@@ -512,7 +472,7 @@ func (lc ListenConfig) Listen(proto Protocol, network, addr string) (*Listener, 
 	case lc.Group != nil:
 		wcfg.Group = lc.Group.g
 	case lc.Loops != 0:
-		owned = wire.NewGroupMode(lc.Loops, lc.Mode.wireMode())
+		owned = wire.NewGroup(lc.Loops)
 		wcfg.Group = owned
 	}
 	ln, err := wire.Listen(network, addr, wcfg)
