@@ -90,43 +90,59 @@ func TestDialRetryEventualSuccess(t *testing.T) {
 	c.Close()
 }
 
-// TestDialRetryHandshakeFailure points a retrying uTLS dial at a plain
-// TCP acceptor that answers the hello with garbage: with Retry enabled
-// the dial must wait for the handshake, classify its failure as
-// transient, and give up with the typed error after the configured
-// attempts.
+// TestDialRetryHandshakeFailure points a retrying uTLS dial at peers
+// whose handshake never succeeds — over kernel TCP a plain acceptor that
+// answers the hello with garbage, over uTCP a uCOBS listener that never
+// answers it. With Retry enabled the dial must wait for the handshake,
+// classify its failure as transient, and give up with the typed error
+// after the configured attempts.
 func TestDialRetryHandshakeFailure(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Write([]byte("definitely not a TLS record stream"))
-			c.Close()
+	garbagePeer := func(t *testing.T) string {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
 		}
-	}()
-	_, err = DialConfig{
-		Timeout: 2 * time.Second,
-		Retry: RetryConfig{
-			Attempts:    2,
-			BaseBackoff: time.Millisecond,
-		},
-	}.Dial(ProtoUTLSTCP, "tcp", l.Addr().String())
-	if err == nil {
-		t.Fatalf("handshake against a garbage peer succeeded")
+		t.Cleanup(func() { l.Close() })
+		go func() {
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				c.Write([]byte("definitely not a TLS record stream"))
+				c.Close()
+			}
+		}()
+		return l.Addr().String()
 	}
-	var re *DialRetryError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %T (%v), want *DialRetryError", err, err)
-	}
-	if re.Attempts != 2 {
-		t.Fatalf("give-up after %d attempts, want 2", re.Attempts)
+	for _, tc := range []struct {
+		proto   Protocol
+		network string
+		peer    func(*testing.T) string
+		timeout time.Duration
+	}{
+		{ProtoUTLSTCP, "tcp", garbagePeer, 2 * time.Second},
+		{ProtoUTLSuTCP, "udp", silentUTCPPeer, 300 * time.Millisecond},
+	} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			_, err := DialConfig{
+				Timeout: tc.timeout,
+				Retry: RetryConfig{
+					Attempts:    2,
+					BaseBackoff: time.Millisecond,
+				},
+			}.Dial(tc.proto, tc.network, tc.peer(t))
+			if err == nil {
+				t.Fatalf("handshake against a peer that never completes it succeeded")
+			}
+			var re *DialRetryError
+			if !errors.As(err, &re) {
+				t.Fatalf("error %T (%v), want *DialRetryError", err, err)
+			}
+			if re.Attempts != 2 {
+				t.Fatalf("give-up after %d attempts, want 2", re.Attempts)
+			}
+		})
 	}
 }
 

@@ -192,6 +192,14 @@ func TestCloseDuringParkedWrite(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("Close hung on a parked write")
 	}
+	// Close's teardown reads the linger in the background: restoring it
+	// before the parked writer finished would leave this connection
+	// writing into later tests for the default linger.
+	select {
+	case <-a.writerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("parked writer still running 5s after Close")
+	}
 }
 
 // TestCloseLingerBounded: against a peer that never drains, Close's

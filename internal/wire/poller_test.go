@@ -344,8 +344,12 @@ func TestPollStalledPeerParksWriter(t *testing.T) {
 		})
 	})
 
-	// Stall: fill the stalled connection until the app queue rejects.
-	// (stalledPeer registers no reader, so the kernel pipe fills too.)
+	// Stall: fill the stalled connection until the app queue rejects and
+	// the peer has stopped reading. stalledPeer registers no reader, so it
+	// pulls bytes off the socket only until its receive budget is spent;
+	// from then on the kernel pipe fills too. Until then the peer keeps
+	// opening room, and on a busy machine that draining can outlast any
+	// fixed settling delay.
 	fillDeadline := time.Now().Add(20 * time.Second)
 	for {
 		if time.Now().After(fillDeadline) {
@@ -354,7 +358,13 @@ func TestPollStalledPeerParksWriter(t *testing.T) {
 		var err error
 		stalled.Do(func() { _, err = stalled.WriteMsgBuf(buf.Get(4096), tcp.WriteOptions{}) })
 		if err == tcp.ErrWouldBlock {
-			break
+			var peerStalled bool
+			stalledPeer.Do(func() { peerStalled = stalledPeer.rStalled })
+			if peerStalled {
+				break
+			}
+			time.Sleep(time.Millisecond)
+			continue
 		}
 		if err != nil {
 			t.Fatalf("fill: %v", err)

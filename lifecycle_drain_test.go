@@ -143,19 +143,15 @@ func TestGroupShutdownDrains512Mixed(t *testing.T) {
 	g.Close()
 }
 
-// TestDialTimeoutCoversTLSHandshake: a server that accepts TCP but never
-// answers the uTLS hello must not hang the dialer — DialConfig.Timeout
-// covers the handshake, and datagrams queued behind it report the typed
-// ErrTimeout.
-func TestDialTimeoutCoversTLSHandshake(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-socket test")
-	}
+// silentTCPPeer is a TCP listener that accepts and holds connections but
+// reads nothing and answers nothing.
+func silentTCPPeer(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("net.Listen: %v", err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -165,48 +161,117 @@ func TestDialTimeoutCoversTLSHandshake(t *testing.T) {
 			defer c.Close() // hold open, read nothing, answer nothing
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	c, err := DialConfig{
-		TCPConfig: TCPConfig{NoDelay: true, SendBufBytes: 16 * 1024},
-		Timeout:   400 * time.Millisecond,
-	}.Dial(ProtoUTLSTCP, "tcp", ln.Addr().String())
+// silentUTCPPeer is a uCOBS/uTCP listener: it completes the uTCP
+// handshake but never answers a uTLS hello.
+func silentUTCPPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := Listen(ProtoUCOBSuTCP, "udp", "127.0.0.1:0", TCPConfig{})
 	if err != nil {
-		t.Fatalf("Dial (TCP connect should succeed): %v", err)
+		t.Fatalf("Listen: %v", err)
 	}
-	defer c.Close()
-
-	// Fill the pre-handshake pending budget so later datagrams queue in
-	// the retry queue — the ones whose OnResult sees the abort cause.
-	results := make(chan error, 64)
-	payload := make([]byte, 4096)
-	accepted := 0
-	for i := 0; i < 64; i++ {
-		err := c.TrySend(payload, Options{OnResult: func(e error) { results <- e }})
-		if errors.Is(err, ErrWouldBlock) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("TrySend: %v", err)
-		}
-		accepted++
-	}
-	if accepted == 0 {
-		t.Fatal("no TrySend accepted before the handshake")
-	}
-	deadline := time.After(10 * time.Second)
-	sawTimeout := false
-	for i := 0; i < accepted; i++ {
-		select {
-		case e := <-results:
-			if errors.Is(e, ErrTimeout) {
-				sawTimeout = true
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			if _, err := ln.Accept(); err != nil {
+				return
 			}
-		case <-deadline:
-			t.Fatalf("only %d/%d OnResult callbacks after handshake timeout", i, accepted)
 		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestDialTimeoutCoversTLSHandshake: a server that never answers the
+// uTLS hello — or, over UDP, never answers the uTCP SYN — must not hang
+// the dialer. DialConfig.Timeout covers the whole establishment, and the
+// connection and the datagrams queued behind it report the typed
+// ErrTimeout.
+func TestDialTimeoutCoversTLSHandshake(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket test")
 	}
-	if !sawTimeout {
-		t.Error("no queued datagram reported the typed ErrTimeout after the handshake deadline")
+	synBlackHole := func(t *testing.T) string {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("ListenPacket: %v", err)
+		}
+		t.Cleanup(func() { pc.Close() })
+		return pc.LocalAddr().String()
+	}
+	const timeout = 400 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		proto   Protocol
+		network string
+		peer    func(*testing.T) string
+	}{
+		{"utls/tcp", ProtoUTLSTCP, "tcp", silentTCPPeer},
+		{"utls/utcp", ProtoUTLSuTCP, "udp", silentUTCPPeer},
+		{"ucobs/utcp-syn-black-hole", ProtoUCOBSuTCP, "udp", synBlackHole},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := DialConfig{
+				TCPConfig: TCPConfig{NoDelay: true, SendBufBytes: 16 * 1024},
+				Timeout:   timeout,
+			}.Dial(tc.proto, tc.network, tc.peer(t))
+			if err != nil {
+				t.Fatalf("Dial (transport dial should succeed): %v", err)
+			}
+			defer c.Close()
+			start := time.Now()
+			terminal := make(chan error, 1)
+			OnConnError(c, func(err error) { terminal <- err })
+
+			// Fill the transport's pre-handshake budget so later datagrams
+			// queue in the retry queue — the ones whose OnResult sees the
+			// abort cause.
+			payload := make([]byte, 4096)
+			for c.Send(payload, Options{}) == nil {
+			}
+			results := make(chan error, 64)
+			accepted := 0
+			for i := 0; i < 64; i++ {
+				err := c.TrySend(payload, Options{OnResult: func(e error) { results <- e }})
+				if errors.Is(err, ErrWouldBlock) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("TrySend: %v", err)
+				}
+				accepted++
+			}
+			if accepted == 0 {
+				t.Fatal("no TrySend accepted before the handshake")
+			}
+			deadline := time.After(10 * time.Second)
+			sawTimeout := false
+			for i := 0; i < accepted; i++ {
+				select {
+				case e := <-results:
+					if errors.Is(e, ErrTimeout) {
+						sawTimeout = true
+					}
+				case <-deadline:
+					t.Fatalf("only %d/%d OnResult callbacks after handshake timeout", i, accepted)
+				}
+			}
+			if !sawTimeout {
+				t.Error("no queued datagram reported the typed ErrTimeout after the handshake deadline")
+			}
+			select {
+			case err := <-terminal:
+				if !errors.Is(err, ErrTimeout) {
+					t.Errorf("OnConnError = %v, want ErrTimeout", err)
+				}
+				if d := time.Since(start); d > timeout+time.Second {
+					t.Errorf("terminal error after %v, want about %v", d, timeout)
+				}
+			case <-deadline:
+				t.Fatal("OnConnError never fired")
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package minion
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -15,33 +16,11 @@ import (
 	"minion/internal/wire"
 )
 
-// utcpPair dials a ProtoUCOBSuTCP/ProtoUTLSuTCP loopback pair through the
-// public API and returns both ends with cleanup wired.
-func utcpPair(t *testing.T, proto Protocol, cfg TCPConfig) (client, server Conn) {
-	t.Helper()
-	ln, err := Listen(proto, "udp", "127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	cli, err := Dial(proto, "udp", ln.Addr().String(), cfg)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(cli.Close)
-	srv, err := ln.Accept()
-	if err != nil {
-		t.Fatalf("Accept: %v", err)
-	}
-	t.Cleanup(srv.Close)
-	return cli, srv
-}
-
 // TestUTCPDialListenEcho runs the full public path: ProtoUCOBSuTCP over a
 // real loopback UDP socket, datagrams echoed back through TrySend (the
 // relay pattern), graceful close.
 func TestUTCPDialListenEcho(t *testing.T) {
-	cli, srv := utcpPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
+	cli, srv, _ := realPair(t, ProtoUCOBSuTCP, "udp", TCPConfig{NoDelay: true})
 
 	srv.OnMessage(func(msg []byte) {
 		if err := srv.TrySend(msg, Options{}); err != nil {
@@ -85,7 +64,7 @@ func TestUTCPPublicUnorderedUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loss-schedule test skipped in -short")
 	}
-	cli, srv := utcpPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
+	cli, srv, _ := realPair(t, ProtoUCOBSuTCP, "udp", TCPConfig{NoDelay: true})
 
 	const (
 		bulkN  = 200
@@ -117,23 +96,29 @@ func TestUTCPPublicUnorderedUnderLoss(t *testing.T) {
 	// Queue the bulk backlog and then one high-priority datagram; TrySend
 	// preserves acceptance order into the transport, where the priority
 	// tag inserts the last datagram ahead of the untransmitted backlog.
-	msg := make([]byte, msgLen)
-	for i := uint32(0); i <= bulkN; i++ {
-		binary.BigEndian.PutUint32(msg, i)
-		opt := Options{Priority: 1}
-		if i == hiID {
-			opt.Priority = 0
-		}
-		for {
-			err := cli.TrySend(msg, opt)
-			if err == nil {
-				break
+	// All of them are accepted in one turn of the client's loop, so the
+	// backlog is still queued behind the congestion window when the
+	// priority datagram reaches the transport, however the scheduler
+	// interleaves this goroutine with the loop. The backlog (201 KB)
+	// fits the default 256 KiB TrySend budget, so nothing can push back
+	// while the loop is held.
+	var sendErr error
+	cli.(*wireConn).ex.Do(func() {
+		msg := make([]byte, msgLen)
+		for i := uint32(0); i <= bulkN; i++ {
+			binary.BigEndian.PutUint32(msg, i)
+			opt := Options{Priority: 1}
+			if i == hiID {
+				opt.Priority = 0
 			}
-			if err != ErrWouldBlock {
-				t.Fatalf("TrySend %d: %v", i, err)
+			if err := cli.TrySend(msg, opt); err != nil {
+				sendErr = fmt.Errorf("TrySend %d: %w", i, err)
+				return
 			}
-			time.Sleep(time.Millisecond)
 		}
+	})
+	if sendErr != nil {
+		t.Fatal(sendErr)
 	}
 
 	seen := make(map[uint32]uint32, bulkN+1)
@@ -172,7 +157,7 @@ func TestUTCPPublicUnorderedUnderLoss(t *testing.T) {
 // real socket: compat handshake with the explicit record-number extension
 // (the configuration that decrypts out of order), bidirectional exchange.
 func TestUTLSOverUTCPWire(t *testing.T) {
-	cli, srv := utcpPair(t, ProtoUTLSuTCP, TCPConfig{NoDelay: true, ExplicitRecNum: true})
+	cli, srv, _ := realPair(t, ProtoUTLSuTCP, "udp", TCPConfig{NoDelay: true, ExplicitRecNum: true})
 
 	srv.OnMessage(func(msg []byte) {
 		if err := srv.TrySend(msg, Options{}); err != nil {
@@ -208,7 +193,7 @@ func TestUTCPResultAndErrorExactlyOnce(t *testing.T) {
 		t.Skip("close-linger test skipped in -short")
 	}
 	goros := runtime.NumGoroutine()
-	cli, srv := utcpPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
+	cli, srv, _ := realPair(t, ProtoUCOBSuTCP, "udp", TCPConfig{NoDelay: true})
 	srv.OnMessage(func([]byte) {})
 
 	// Let the handshake finish on a healthy wire first: TrySend's OnResult
@@ -419,12 +404,12 @@ func TestUTCPThinStreamLossRecovery(t *testing.T) {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	p50, p99 := sorted[n/2], sorted[n*99/100]
 
-	w, ok := cli.(*utcpConn)
+	w, ok := cli.(*wireConn)
 	if !ok {
-		t.Fatalf("Dial returned %T, want the uTCP adapter", cli)
+		t.Fatalf("Dial returned %T, want the real-socket adapter", cli)
 	}
 	var st tcp.Stats
-	w.tr.Do(func() { st = w.tc.Stats() })
+	w.ex.Do(func() { st = w.inner.(utlsConn).c.Transport().(*tcp.Conn).Stats() })
 	t.Logf("p50 %v p99 %v; sender %+v", p50, p99, st)
 	if st.SegsRetrans == 0 {
 		t.Fatal("no retransmissions: the drop hook never engaged")

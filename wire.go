@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"minion/internal/buf"
+	"minion/internal/rt"
 	"minion/internal/tcp"
 	"minion/internal/ucobs"
 	"minion/internal/utcp"
@@ -159,12 +160,13 @@ type DialConfig struct {
 	// Group attaches the connection to an explicit shared LoopGroup.
 	Group *LoopGroup
 	// Timeout bounds connection establishment end to end: TCP connect
-	// (and name resolution) plus, on ProtoUTLSTCP, the TLS handshake.
-	// Zero — the default — means no bound, preserving the historical
-	// behavior that a Dial can wait as long as the kernel does. A connect
-	// that times out returns an error wrapping ErrTimeout; a handshake
-	// that times out aborts the connection with ErrTimeout, which
-	// surfaces through Send/OnResult and the connection's error paths.
+	// (and name resolution) — over uTCP, the SYN exchange — plus, on the
+	// uTLS stacks, the TLS handshake. Zero — the default — means no
+	// bound, preserving the historical behavior that a Dial can wait as
+	// long as the kernel does. A connect that times out returns an error
+	// wrapping ErrTimeout; a handshake that times out aborts the
+	// connection with ErrTimeout, which surfaces through OnResult and
+	// OnConnError (Send then reports ErrConnClosed).
 	Timeout time.Duration
 	// Retry re-attempts transient dial failures with exponential
 	// backoff. The zero value (Attempts <= 1) preserves single-shot
@@ -317,31 +319,22 @@ func (dc DialConfig) Dial(proto Protocol, network, addr string) (Conn, error) {
 // paths. Other protocols pass through untouched. On failure the
 // connection is closed and the handshake (or terminal) error returned.
 func awaitHandshake(proto Protocol, c Conn) (Conn, error) {
-	if proto != ProtoUTLSTCP {
-		return c, nil
-	}
 	w, ok := c.(*wireConn)
-	if !ok {
+	if !ok || !proto.Secure() {
 		return c, nil
 	}
 	hs := make(chan error, 2)
-	done := w.sc.Do(func() {
-		u, ok := w.inner.(utlsConn)
-		if !ok {
+	if !w.ex.Do(func() {
+		u := w.inner.(utlsConn)
+		switch {
+		case u.c.HandshakeErr() != nil:
+			hs <- u.c.HandshakeErr()
+		case u.c.Ready():
 			hs <- nil
-			return
+		default:
+			u.c.OnReady(func() { hs <- nil })
 		}
-		if err := u.c.HandshakeErr(); err != nil {
-			hs <- err
-			return
-		}
-		if u.c.Ready() {
-			hs <- nil
-			return
-		}
-		u.c.OnReady(func() { hs <- nil })
-	})
-	if !done {
+	}) {
 		c.Close()
 		return nil, ErrConnClosed
 	}
@@ -349,10 +342,8 @@ func awaitHandshake(proto Protocol, c Conn) (Conn, error) {
 	// is gone), where reading the handshake error is safe; it upgrades
 	// the generic mapped cause to the specific handshake failure.
 	OnConnError(c, func(err error) {
-		if u, ok := w.inner.(utlsConn); ok {
-			if herr := u.c.HandshakeErr(); herr != nil {
-				err = herr
-			}
+		if herr := w.inner.(utlsConn).c.HandshakeErr(); herr != nil {
+			err = herr
 		}
 		hs <- err
 	})
@@ -365,8 +356,7 @@ func awaitHandshake(proto Protocol, c Conn) (Conn, error) {
 
 // dialOnce is a single dial attempt.
 func (dc DialConfig) dialOnce(proto Protocol, network, addr string) (Conn, error) {
-	switch proto {
-	case ProtoUDP:
+	if proto == ProtoUDP {
 		// The UDP shim is loop-cheap already (no writer goroutine); it
 		// keeps a dedicated loop regardless of group settings. The kernel
 		// buffer knobs apply — UDP drops silently once its socket queue
@@ -380,42 +370,35 @@ func (dc DialConfig) dialOnce(proto Protocol, network, addr string) (Conn, error
 			return nil, err
 		}
 		return wireUDPConn{uc}, nil
-	case ProtoUCOBSTCP, ProtoUTLSTCP:
+	}
+	start := time.Now()
+	var w *wireConn
+	if proto.Unordered() {
+		cli, err := utcp.Dial(network, addr, dc.TCPConfig.utcpConfig(), wire.UDPConfig{
+			SockSendBufBytes: dc.SockSendBufBytes,
+			SockRecvBufBytes: dc.SockRecvBufBytes,
+			DialTimeout:      dc.Timeout,
+		})
+		if err != nil {
+			return nil, err
+		}
+		w = newUTCPConn(cli, cli.Conn(), proto, dc.TCPConfig, true, cli.Close)
+	} else {
 		wcfg := dc.TCPConfig.wireConfig()
 		wcfg.Group = dc.group()
 		wcfg.DialTimeout = dc.Timeout
-		start := time.Now()
 		sc, err := wire.Dial(network, addr, wcfg)
 		if err != nil {
 			return nil, err
 		}
-		c := newWireConn(sc, proto, dc.TCPConfig, true)
-		if dc.Timeout > 0 && proto == ProtoUTLSTCP {
-			// The connect spent part of the budget; the handshake gets the
-			// rest. The timer rides the connection's loop wheel and aborts
-			// with the typed ErrTimeout only if the handshake is still in
-			// flight when it fires — a completed or already-failed
-			// handshake makes it a no-op.
-			remaining := dc.Timeout - time.Since(start)
-			if remaining < time.Millisecond {
-				remaining = time.Millisecond
-			}
-			w := c.(*wireConn)
-			sc.Loop().Schedule(remaining, func() {
-				if u, ok := w.inner.(utlsConn); ok && !u.c.Ready() && u.c.HandshakeErr() == nil {
-					sc.Abort(wire.ErrTimeout)
-				}
-			})
-		}
-		return c, nil
-	case ProtoUCOBSuTCP, ProtoUTLSuTCP:
-		if !udpNetwork(network) {
-			return nil, ErrSimOnly
-		}
-		return dc.dialUTCP(proto, network, addr)
-	default:
-		return nil, fmt.Errorf("minion: unknown protocol %v", proto)
+		w = newWireConn(sc, proto, dc.TCPConfig, true)
 	}
+	if dc.Timeout > 0 {
+		// The connect spent part of the budget; the transport and uTLS
+		// handshakes get the rest.
+		w.boundHandshake(max(dc.Timeout-time.Since(start), time.Millisecond))
+	}
+	return w, nil
 }
 
 // Listener accepts Minion connections of one protocol stack over real
@@ -492,7 +475,7 @@ func (l *Listener) Accept() (Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newUTCPConn(ep, l.proto, l.cfg, false, ep.Detach), nil
+		return newUTCPConn(ep, ep.Conn(), l.proto, l.cfg, false, ep.Detach), nil
 	}
 	sc, err := l.ln.Accept()
 	if err != nil {
@@ -582,40 +565,54 @@ func (cfg TCPConfig) wireConfig() wire.Config {
 	}
 }
 
-// newWireConn stacks the protocol's framing layer on a wire stream. The
-// framing connection is built on the stream's event loop, so incoming
-// bytes (a peer's uTLS hello can already be queued) never race the
-// constructor.
-func newWireConn(sc *wire.Conn, proto Protocol, cfg TCPConfig, isClient bool) Conn {
+// newFraming stacks proto's framing layer (uCOBS or uTLS) on stream s.
+// Runs on s's event loop, so incoming bytes (a peer's uTLS hello can
+// already be queued) never race the constructor.
+func newFraming(s tcp.Stream, proto Protocol, cfg TCPConfig, isClient bool) Conn {
+	if !proto.Secure() {
+		return ucobsConn{ucobs.New(s)}
+	}
+	ucfg := utls.Config{ExplicitRecNum: cfg.ExplicitRecNum, Real: cfg.TLS.handshake()}
+	if isClient {
+		return utlsConn{utls.Client(s, ucfg)}
+	}
+	return utlsConn{utls.Server(s, ucfg)}
+}
+
+// connLoop is the executor surface every real-socket substrate offers —
+// wire.Conn, utcp.Client and utcp.Endpoint: the connection's event loop,
+// a blocking hand-off onto it, and its FIFO lane.
+type connLoop interface {
+	Loop() *rt.Loop
+	Do(fn func()) bool
+	Post(fn func()) bool
+}
+
+// newAdapter returns an adapter with the TrySend budget sized from cfg.
+func newAdapter(ex connLoop, cfg TCPConfig) *wireConn {
 	budget := cfg.SendBufBytes
 	if budget == 0 {
-		budget = 256 * 1024 // wire.Config default
+		budget = 256 * 1024 // the wire.Config and tcp.Config default
 	}
-	w := &wireConn{sc: sc, asyncBudget: int64(budget)}
+	return &wireConn{ex: ex, asyncBudget: int64(budget)}
+}
+
+// newWireConn stacks the protocol's framing layer on a kernel TCP stream.
+func newWireConn(sc *wire.Conn, proto Protocol, cfg TCPConfig, isClient bool) *wireConn {
+	w := newAdapter(sc, cfg)
+	w.onWritable, w.abort = sc.OnWritable, sc.Abort
+	w.established = true // wire.Dial and Accept return connected sockets
 	sc.Do(func() {
-		switch proto {
-		case ProtoUCOBSTCP:
-			w.inner = ucobsConn{ucobs.New(sc)}
-		case ProtoUTLSTCP:
-			ucfg := utls.Config{ExplicitRecNum: cfg.ExplicitRecNum, Real: cfg.TLS.handshake()}
-			if isClient {
-				w.inner = utlsConn{utls.Client(sc, ucfg)}
-			} else {
-				w.inner = utlsConn{utls.Server(sc, ucfg)}
-			}
-		}
-		// Lifecycle hooks (all loop-confined). OnError maps the wire
-		// layer's terminal error onto queued TrySend datagrams so their
-		// OnResult fires exactly once with a meaningful cause: typed
-		// timeouts pass through, everything else (peer reset, EOF, local
-		// close) collapses to ErrConnClosed, matching Close's contract.
+		w.inner = newFraming(sc, proto, cfg, isClient)
+		// OnError maps the wire layer's terminal error onto the public
+		// vocabulary: typed timeouts pass through, ordinary closure (EOF,
+		// local close) collapses to ErrConnClosed.
 		sc.OnError(func(err error) {
 			switch {
 			case err == nil, errors.Is(err, tcp.ErrClosed), errors.Is(err, io.EOF):
 				err = ErrConnClosed
 			}
-			w.failAsync(err)
-			w.reportError(err)
+			w.terminate(err)
 		})
 		// A graceful peer FIN is a departure, not an error, but it is
 		// terminal for OnConnError observers (servers reaping clients);
@@ -629,28 +626,47 @@ func newWireConn(sc *wire.Conn, proto Protocol, cfg TCPConfig, isClient bool) Co
 	return w
 }
 
-// wireConn adapts a loop-confined framing connection to the goroutine-safe
-// public Conn interface: every call is marshalled onto the connection's
-// event loop (the per-connection serial executor), so the protocol state
-// machines stay lock-free exactly as they are on the simulator.
+// wireConn adapts a loop-confined framing connection on a real-socket
+// substrate — a kernel TCP stream or a userspace uTCP flow over UDP — to
+// the goroutine-safe public Conn interface: every call is marshalled onto
+// the connection's event loop (the per-connection serial executor), so the
+// protocol state machines stay lock-free exactly as they are on the
+// simulator. The TrySend queue, OnResult and OnConnError contracts are the
+// same on both substrates; only the construction-time hooks differ
+// (newWireConn, newUTCPConn).
 type wireConn struct {
-	sc    *wire.Conn
+	ex    connLoop
 	inner Conn
+
+	// Substrate hooks, set by the constructor: onWritable registers the
+	// stream's writable-edge callback; abort hard-fails the transport,
+	// whose teardown hook then reports; linger, when nonzero, bounds a
+	// graceful close the transport does not bound itself (uTCP's FIN
+	// handshake — the wire layer lingers on its own).
+	onWritable func(func())
+	abort      func(error)
+	linger     time.Duration
 
 	// TrySend bookkeeping: asyncBytes meters accepted-but-unsent payload
 	// against asyncBudget from any goroutine; asyncQ holds datagrams the
-	// transport pushed back on, flushed on the stream's OnWritable edge.
+	// transport pushed back on, flushed on the stream's writable edge.
 	// asyncQ and flushArmed are loop-confined.
 	asyncBudget int64
 	asyncBytes  atomic.Int64
 	asyncQ      []asyncMsg
 	flushArmed  bool
 
-	// Terminal-error reporting for OnConnError: both fields are
-	// loop-confined. termErr latches the mapped terminal cause so a
-	// callback registered after the connection died still fires.
-	onError func(error)
-	termErr error
+	// Loop-confined lifecycle state. established is false while the
+	// transport handshake (a uTCP SYN exchange) is in flight; closing is
+	// set by Close or a group drain, dead once the transport reached its
+	// terminal state. termErr latches the first terminal cause so an
+	// OnConnError callback registered after the connection died still
+	// fires.
+	established bool
+	closing     bool
+	dead        bool
+	onError     func(error)
+	termErr     error
 }
 
 type asyncMsg struct {
@@ -660,7 +676,13 @@ type asyncMsg struct {
 
 func (w *wireConn) Send(msg []byte, opt Options) error {
 	var err error
-	if !w.sc.Do(func() { err = w.inner.Send(msg, opt) }) {
+	if !w.ex.Do(func() {
+		if w.closing || w.dead {
+			err = ErrConnClosed
+			return
+		}
+		err = w.inner.Send(msg, opt)
+	}) {
 		return ErrConnClosed
 	}
 	return err
@@ -678,7 +700,7 @@ func (w *wireConn) TrySend(msg []byte, opt Options) error {
 		return ErrWouldBlock
 	}
 	b := buf.From(msg)
-	if !w.sc.Post(func() { w.asyncDeliver(b, opt) }) {
+	if !w.ex.Post(func() { w.asyncDeliver(asyncMsg{b, opt}) }) {
 		w.asyncBytes.Add(-n)
 		b.Release()
 		return ErrConnClosed
@@ -688,43 +710,36 @@ func (w *wireConn) TrySend(msg []byte, opt Options) error {
 
 // asyncDeliver runs on the loop: datagrams keep TrySend order, so
 // anything behind a queued datagram queues too.
-func (w *wireConn) asyncDeliver(b *buf.Buffer, opt Options) {
-	if len(w.asyncQ) > 0 {
-		w.asyncQ = append(w.asyncQ, asyncMsg{b, opt})
-		w.armFlush()
+func (w *wireConn) asyncDeliver(m asyncMsg) {
+	if w.closing || w.dead {
+		w.settle(m, ErrConnClosed)
 		return
 	}
-	err := w.inner.Send(b.Bytes(), opt)
-	if errors.Is(err, ErrWouldBlock) {
-		w.asyncQ = append(w.asyncQ, asyncMsg{b, opt})
-		w.armFlush()
-		return
+	if len(w.asyncQ) == 0 {
+		err := w.inner.Send(m.b.Bytes(), m.opt)
+		if !errors.Is(err, ErrWouldBlock) {
+			// Sent — or a non-retryable error, in which case the datagram
+			// falls exactly like data in flight at Close. Either way the
+			// fate is known now.
+			w.settle(m, err)
+			return
+		}
 	}
-	// Sent — or a terminal error (connection closed), in which case the
-	// datagram falls exactly like data in flight at Close. Either way the
-	// fate is known now; report it to callers that asked.
-	w.asyncBytes.Add(-int64(b.Len()))
-	b.Release()
-	if opt.OnResult != nil {
-		opt.OnResult(err)
-	}
-}
-
-func (w *wireConn) armFlush() {
+	w.asyncQ = append(w.asyncQ, m)
 	if !w.flushArmed {
 		w.flushArmed = true
-		w.sc.OnWritable(w.flushAsync)
+		w.onWritable(w.flushAsync)
 	}
 }
 
-// flushAsync runs on the loop when the transport's send queue drains to
-// its low-water mark: the retry pump for queued TrySend datagrams.
+// flushAsync runs on the loop on the stream's writable edge: the retry
+// pump for queued TrySend datagrams.
 func (w *wireConn) flushAsync() {
 	for len(w.asyncQ) > 0 {
 		m := w.asyncQ[0]
 		err := w.inner.Send(m.b.Bytes(), m.opt)
 		if errors.Is(err, ErrWouldBlock) {
-			return // the next OnWritable edge resumes
+			return // the next writable edge resumes
 		}
 		// Sent, or a non-retryable error (oversized record, connection
 		// closing): either way this datagram leaves the queue — dropping
@@ -732,21 +747,27 @@ func (w *wireConn) flushAsync() {
 		// killing the stream — and its fate is reported.
 		w.asyncQ[0] = asyncMsg{}
 		w.asyncQ = w.asyncQ[1:]
-		w.asyncBytes.Add(-int64(m.b.Len()))
-		m.b.Release()
-		if m.opt.OnResult != nil {
-			m.opt.OnResult(err)
-		}
+		w.settle(m, err)
+	}
+}
+
+// settle releases a TrySend datagram's budget and buffer and reports its
+// fate through OnResult, exactly once. Runs on the loop.
+func (w *wireConn) settle(m asyncMsg, err error) {
+	w.asyncBytes.Add(-int64(m.b.Len()))
+	m.b.Release()
+	if m.opt.OnResult != nil {
+		m.opt.OnResult(err)
 	}
 }
 
 func (w *wireConn) Recv() (msg []byte, ok bool) {
-	w.sc.Do(func() { msg, ok = w.inner.Recv() })
+	w.ex.Do(func() { msg, ok = w.inner.Recv() })
 	return
 }
 
 func (w *wireConn) OnMessage(fn func(msg []byte)) {
-	w.sc.Do(func() {
+	w.ex.Do(func() {
 		w.inner.OnMessage(fn)
 		if fn == nil {
 			return
@@ -766,27 +787,53 @@ func (w *wireConn) OnMessage(fn func(msg []byte)) {
 	})
 }
 
-func (w *wireConn) Close() {
-	w.sc.Do(func() {
-		w.inner.Close()
-		// Datagrams accepted by TrySend but still queued behind
-		// backpressure are dropped here, exactly like data in flight —
-		// but with their fate reported instead of silent.
-		w.failAsync(ErrConnClosed)
-	})
+func (w *wireConn) Close() { w.ex.Do(w.close) }
+
+// close is Close on the loop: it sends the protocol's close sequence (uTLS
+// close_notify, then FIN) and drops datagrams accepted by TrySend but
+// still queued behind backpressure, exactly like data in flight — but
+// with their fate reported instead of silent.
+func (w *wireConn) close() {
+	if w.closing {
+		return
+	}
+	w.closing = true
+	w.inner.Close()
+	w.failAsync(ErrConnClosed)
+	if w.linger > 0 && !w.dead {
+		// A vanished peer must not pin the socket and loop forever.
+		w.ex.Loop().Schedule(w.linger, func() {
+			if !w.dead {
+				w.abort(ErrConnClosed)
+			}
+		})
+	}
 }
 
 // drain runs on the loop when the group begins a graceful shutdown: it
 // pushes whatever queued TrySend datagrams still fit into the transport
-// (so the wire layer can flush them), sends the protocol's close
-// sequence (uTLS close_notify / TCP FIN via the framing Close), and
-// reports any datagram that did not make it. The wire layer then waits —
-// bounded by the Shutdown context — for the flushed bytes to reach the
-// kernel before closing the socket.
+// (so the wire layer can flush them), then closes, reporting any datagram
+// that did not make it. The wire layer then waits — bounded by the
+// Shutdown context — for the flushed bytes to reach the kernel before
+// closing the socket.
 func (w *wireConn) drain() {
 	w.flushAsync()
-	w.inner.Close()
-	w.failAsync(ErrConnClosed)
+	w.close()
+}
+
+// boundHandshake aborts the connection with ErrTimeout unless, d from now,
+// its transport is established and any uTLS handshake has settled — the
+// DialConfig.Timeout budget left after connect.
+func (w *wireConn) boundHandshake(d time.Duration) {
+	w.ex.Loop().Schedule(d, func() {
+		u, isTLS := w.inner.(utlsConn)
+		handshaking := isTLS && !u.c.Ready() && u.c.HandshakeErr() == nil
+		if w.dead || w.established && !handshaking {
+			return
+		}
+		w.terminate(ErrTimeout)
+		w.abort(ErrTimeout)
+	})
 }
 
 // shedLowest implements EvictShed, on the loop: drop the lowest-priority
@@ -813,17 +860,22 @@ func (w *wireConn) shedLowest() int {
 			continue
 		}
 		freed += m.b.Len()
-		w.asyncBytes.Add(-int64(m.b.Len()))
-		m.b.Release()
-		if m.opt.OnResult != nil {
-			m.opt.OnResult(ErrSlowClient)
-		}
+		w.settle(m, ErrSlowClient)
 	}
 	for i := len(kept); i < len(w.asyncQ); i++ {
 		w.asyncQ[i] = asyncMsg{}
 	}
 	w.asyncQ = kept
 	return freed
+}
+
+// terminate marks the transport dead with its mapped terminal cause: every
+// queued TrySend datagram reports err and OnConnError is notified. Runs on
+// the loop (or inline during post-loop teardown).
+func (w *wireConn) terminate(err error) {
+	w.dead = true
+	w.failAsync(err)
+	w.reportError(err)
 }
 
 // reportError latches the first terminal cause and delivers it to the
@@ -844,18 +896,14 @@ func (w *wireConn) reportError(err error) {
 // through its OnResult. Runs on the loop.
 func (w *wireConn) failAsync(err error) {
 	for i, m := range w.asyncQ {
-		w.asyncBytes.Add(-int64(m.b.Len()))
-		m.b.Release()
-		if m.opt.OnResult != nil {
-			m.opt.OnResult(err)
-		}
+		w.settle(m, err)
 		w.asyncQ[i] = asyncMsg{}
 	}
 	w.asyncQ = w.asyncQ[:0]
 }
 
 // Inner returns the framing-layer connection for instrumentation; use it
-// only via the connection's event loop (wire.Conn.Do).
+// only on the connection's event loop (from a callback).
 func (w *wireConn) Inner() Conn { return w.inner }
 
 // OnConnError registers fn to run exactly once when c reaches a terminal
@@ -869,40 +917,25 @@ func (w *wireConn) Inner() Conn { return w.inner }
 // fn — when c's substrate has no terminal-error reporting (simulated
 // endpoints, UDP shims).
 func OnConnError(c Conn, fn func(error)) bool {
-	switch w := c.(type) {
-	case *wireConn:
-		if fn == nil {
-			return true
-		}
-		if !w.sc.Do(func() {
-			if w.termErr != nil {
-				fn(w.termErr)
-				return
-			}
-			w.onError = fn
-		}) {
-			// Loop already gone: the connection is dead and its terminal
-			// error was delivered (or discarded) during teardown.
-			fn(ErrConnClosed)
-		}
-		return true
-	case *utcpConn:
-		if fn == nil {
-			return true
-		}
-		if !w.tr.Do(func() {
-			if w.termErr != nil {
-				fn(w.termErr)
-				return
-			}
-			w.onError = fn
-		}) {
-			fn(ErrConnClosed)
-		}
-		return true
-	default:
+	w, ok := c.(*wireConn)
+	if !ok {
 		return false
 	}
+	if fn == nil {
+		return true
+	}
+	if !w.ex.Do(func() {
+		if w.termErr != nil {
+			fn(w.termErr)
+			return
+		}
+		w.onError = fn
+	}) {
+		// Loop already gone: the connection is dead and its terminal
+		// error was delivered (or discarded) during teardown.
+		fn(ErrConnClosed)
+	}
+	return true
 }
 
 // SupportsPriorities reports whether c's substrate honors
@@ -917,28 +950,17 @@ func OnConnError(c Conn, fn func(error)) bool {
 // callback (any delivered datagram implies a finished handshake) is
 // always safe.
 func SupportsPriorities(c Conn) bool {
-	switch w := c.(type) {
-	case *wireConn:
-		sup := true
-		w.sc.Do(func() {
-			if u, ok := w.inner.(utlsConn); ok {
-				sup = u.c.ExplicitRecNumActive()
-			}
-		})
-		return sup
-	case *utcpConn:
-		// uCOBS over uTCP reorders natively; uTLS still needs the explicit
-		// record-number extension to decrypt out of order.
-		sup := true
-		w.tr.Do(func() {
-			if u, ok := w.inner.(utlsConn); ok {
-				sup = u.c.ExplicitRecNumActive()
-			}
-		})
-		return sup
-	default:
+	w, ok := c.(*wireConn)
+	if !ok {
 		return true // simulated substrates accept (and ignore) the tag
 	}
+	sup := true
+	w.ex.Do(func() {
+		if u, ok := w.inner.(utlsConn); ok {
+			sup = u.c.ExplicitRecNumActive()
+		}
+	})
+	return sup
 }
 
 // ErrConnClosed is returned by operations on a closed wire connection.

@@ -1,6 +1,7 @@
 package minion
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -230,5 +231,167 @@ func TestDialSimOnlyProtocols(t *testing.T) {
 	}
 	if _, err := Dial(Protocol(99), "tcp", "127.0.0.1:1", TCPConfig{}); err == nil || err == ErrSimOnly {
 		t.Errorf("Dial(invalid) err = %v, want an unknown-protocol error", err)
+	}
+}
+
+// realPair dials a loopback pair of proto over network through the public
+// API and returns both ends and the listener, with cleanup wired.
+func realPair(t *testing.T, proto Protocol, network string, cfg TCPConfig) (client, server Conn, ln *Listener) {
+	t.Helper()
+	ln, err := Listen(proto, network, "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	client, err = Dial(proto, network, ln.Addr().String(), cfg)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(client.Close)
+	server, err = ln.Accept()
+	if err != nil {
+		t.Fatalf("Accept: %v", err)
+	}
+	t.Cleanup(server.Close)
+	return client, server, ln
+}
+
+// realStacks is every stack that runs over real sockets with a
+// connection adapter: uCOBS and uTLS over kernel TCP and over uTCP/UDP.
+var realStacks = []struct {
+	proto   Protocol
+	network string
+}{
+	{ProtoUCOBSTCP, "tcp"},
+	{ProtoUTLSTCP, "tcp"},
+	{ProtoUCOBSuTCP, "udp"},
+	{ProtoUTLSuTCP, "udp"},
+}
+
+// assertClosed checks the closed-connection contract on c: Send returns
+// ErrConnClosed, and a TrySend is either refused with ErrConnClosed or
+// reports ErrConnClosed through its OnResult.
+func assertClosed(t *testing.T, c Conn) {
+	t.Helper()
+	if err := c.Send([]byte("late"), Options{}); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("Send after close = %v, want ErrConnClosed", err)
+	}
+	res := make(chan error, 1)
+	err := c.TrySend([]byte("late"), Options{OnResult: func(err error) { res <- err }})
+	switch {
+	case errors.Is(err, ErrConnClosed):
+	case err != nil:
+		t.Errorf("TrySend after close = %v, want nil or ErrConnClosed", err)
+	default:
+		select {
+		case err := <-res:
+			if !errors.Is(err, ErrConnClosed) {
+				t.Errorf("late TrySend OnResult = %v, want ErrConnClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("late TrySend never reported through OnResult")
+		}
+	}
+}
+
+// TestConnCloseContract pins the failure-mode contract of docs/OPERATIONS.md
+// on both substrates. A graceful client Close reaches the server's
+// OnConnError promptly (as ErrConnClosed), while the half-closed server can
+// still send; after a local Close, and after a peer reset, Send and a late
+// TrySend report ErrConnClosed rather than a transport error.
+func TestConnCloseContract(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket test")
+	}
+	for _, st := range realStacks {
+		t.Run(st.proto.String(), func(t *testing.T) {
+			cli, srv, _ := realPair(t, st.proto, st.network, TCPConfig{NoDelay: true})
+			got := make(chan struct{}, 1)
+			srv.OnMessage(func([]byte) { got <- struct{}{} })
+			if err := cli.Send([]byte("hello"), Options{}); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			select {
+			case <-got:
+			case <-time.After(10 * time.Second):
+				t.Fatal("first datagram never arrived")
+			}
+
+			srvErr := make(chan error, 1)
+			OnConnError(srv, func(err error) { srvErr <- err })
+			start := time.Now()
+			cli.Close()
+			select {
+			case err := <-srvErr:
+				if err != ErrConnClosed {
+					t.Errorf("server OnConnError = %v, want ErrConnClosed", err)
+				}
+				if d := time.Since(start); d >= 500*time.Millisecond {
+					t.Errorf("server learned of the close after %v, want < 500ms", d)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("server OnConnError never fired")
+			}
+			if err := srv.Send([]byte("after fin"), Options{}); err != nil {
+				t.Errorf("half-closed server Send = %v, want nil", err)
+			}
+			assertClosed(t, cli)
+		})
+	}
+}
+
+// TestConnPeerResetContract: a connection whose peer reset it reports
+// ErrConnClosed from Send on both substrates. The kernel-TCP peer is a raw
+// socket closed with SO_LINGER 0; the uTCP peer is a listener whose Close
+// aborts its endpoints. A late TrySend is not checked here: the reset
+// uTCP client closes its loop, and a post that wins the race with that
+// close is dropped without running (rt.Loop.Close runs no pending work).
+func TestConnPeerResetContract(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket test")
+	}
+	for _, st := range realStacks {
+		t.Run(st.proto.String(), func(t *testing.T) {
+			var cli Conn
+			if st.network == "udp" {
+				var ln *Listener
+				cli, _, ln = realPair(t, st.proto, st.network, TCPConfig{NoDelay: true})
+				ln.Close()
+			} else {
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatalf("listen: %v", err)
+				}
+				t.Cleanup(func() { l.Close() })
+				go func() {
+					c, err := l.Accept()
+					if err != nil {
+						return
+					}
+					// Reset only once the client's first bytes arrive, so the
+					// RST cannot race its connect.
+					c.Read(make([]byte, 1))
+					c.(*net.TCPConn).SetLinger(0)
+					c.Close()
+				}()
+				if cli, err = Dial(st.proto, st.network, l.Addr().String(), TCPConfig{NoDelay: true}); err != nil {
+					t.Fatalf("Dial: %v", err)
+				}
+				t.Cleanup(cli.Close)
+				if err := cli.Send([]byte("hello"), Options{}); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+			}
+			errs := make(chan error, 1)
+			OnConnError(cli, func(err error) { errs <- err })
+			select {
+			case <-errs:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the peer's reset never reached OnConnError")
+			}
+			if err := cli.Send([]byte("late"), Options{}); !errors.Is(err, ErrConnClosed) {
+				t.Errorf("Send after reset = %v, want ErrConnClosed", err)
+			}
+		})
 	}
 }
