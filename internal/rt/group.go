@@ -106,8 +106,8 @@ func (g *LoopGroup) Loads() []int {
 	return out
 }
 
-// Close shuts every loop down. Pending work never runs, exactly as on
-// Loop.Close.
+// Close shuts every loop down, with Loop.Close's contract: accepted lane
+// work runs, pending timers never do.
 func (g *LoopGroup) Close() {
 	for _, l := range g.loops {
 		l.Close()

@@ -152,8 +152,8 @@ func (l *Loop) Schedule(delay time.Duration, fn func()) Timer {
 // Post runs fn on the event goroutine as soon as possible, after due
 // timers and without displacing other lanes' queued work — the hand-off
 // used by application goroutines to enter the serial executor. Work
-// posted after the loop closed is silently dropped (like a pending timer
-// on Close); callers that must know use a Lane or Do.
+// posted after the loop closed is silently dropped; callers that must
+// know use a Lane or Do.
 func (l *Loop) Post(fn func()) { l.defLane.Post(fn) }
 
 // Do runs fn on the event goroutine and waits for it to complete. Called
@@ -169,24 +169,16 @@ func (l *Loop) Do(fn func()) bool {
 	if !l.defLane.Post(func() { fn(); close(doneCh) }) {
 		return false
 	}
-	select {
-	case <-doneCh:
-		return true
-	case <-l.done:
-		// Loop shut down before running fn (Close drains nothing).
-		select {
-		case <-doneCh:
-			return true
-		default:
-			return false
-		}
-	}
+	<-doneCh // an accepted post runs, even across Close
+	return true
 }
 
-// Close stops the event goroutine. Pending timers and lane work never
-// run. Close is idempotent and returns once the goroutine has exited;
-// calling it from inside a callback returns immediately (the goroutine
-// exits right after the callback).
+// Close stops the event goroutine. It refuses later posts, runs every
+// lane callback it already accepted (Lane.Post's contract: true means fn
+// runs), and exits; pending timers never run. Close is idempotent and
+// returns once the goroutine has exited; calling it from inside a
+// callback returns immediately (the goroutine drains and exits right
+// after the callback).
 func (l *Loop) Close() {
 	l.mu.Lock()
 	already := l.closed
@@ -275,7 +267,8 @@ func (ln *Lane) Loop() *Loop { return ln.l }
 // run is the event goroutine. Each iteration: fire every timer now due
 // (in (deadline, seq) order, unlinking one at a time so a callback can
 // still Stop a later same-batch timer), then drain one lane's batch;
-// otherwise sleep until the next deadline or a poke.
+// otherwise sleep until the next deadline or a poke. Once closed it fires
+// no timers and exits when the accepted lane batches have run.
 func (l *Loop) run(ready chan<- struct{}) {
 	l.goid = fastGoid()
 	l.markEventGoroutine()
@@ -287,11 +280,10 @@ func (l *Loop) run(ready chan<- struct{}) {
 	for {
 		l.mu.Lock()
 		l.sleeping = false
-		if l.closed {
-			l.mu.Unlock()
-			return
+		due = due[:0]
+		if !l.closed { // a closed loop fires no timers
+			due = l.wheel.collectDue(l.Now(), due)
 		}
-		due = l.wheel.collectDue(l.Now(), due[:0])
 		if len(due) > 0 {
 			sort.Slice(due, func(i, j int) bool {
 				if due[i].at != due[j].at {
@@ -304,7 +296,7 @@ func (l *Loop) run(ready chan<- struct{}) {
 					l.mu.Lock()
 					if l.closed {
 						l.mu.Unlock()
-						return
+						break // the next iteration drains accepted lane work
 					}
 				}
 				// Re-validate: an earlier callback in this batch (or any
@@ -329,6 +321,10 @@ func (l *Loop) run(ready chan<- struct{}) {
 			l.runq = l.runq[:len(l.runq)-1]
 			lane.queued = false
 			batch, lane.q = lane.q, lane.spare[:0]
+		}
+		if batch == nil && l.closed {
+			l.mu.Unlock()
+			return // every lane batch accepted before Close has run
 		}
 		var wait time.Duration = -1
 		if batch == nil {

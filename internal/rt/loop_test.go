@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,6 +113,35 @@ func TestLoopDoAfterClose(t *testing.T) {
 	l.Close() // idempotent
 	if l.Do(func() {}) {
 		t.Fatal("Do after Close reported success")
+	}
+}
+
+// TestLoopCloseRunsAcceptedPosts pins Lane.Post's contract across Close:
+// a post accepted while a callback holds the loop runs before Close
+// returns, and a due timer still never fires.
+func TestLoopCloseRunsAcceptedPosts(t *testing.T) {
+	l := NewLoop()
+	ln := l.NewLane()
+	entered, release := make(chan struct{}), make(chan struct{})
+	l.Post(func() { close(entered); <-release })
+	<-entered
+	var ran, fired atomic.Bool
+	if !ln.Post(func() { ran.Store(true) }) {
+		t.Fatal("Post refused on an open loop")
+	}
+	l.Schedule(0, func() { fired.Store(true) })
+	closed := make(chan struct{})
+	go func() { l.Close(); close(closed) }()
+	for ln.Post(func() {}) { // spins until Close has latched
+		runtime.Gosched()
+	}
+	close(release)
+	<-closed
+	if !ran.Load() {
+		t.Fatal("post accepted before Close never ran")
+	}
+	if fired.Load() {
+		t.Fatal("timer fired after Close")
 	}
 }
 

@@ -18,7 +18,9 @@
 //     simulated and wall-clock time with zero behavioural divergence.
 //   - Dial/Listen bind over real sockets: a connected wire.UDPConn per
 //     client, and a demuxing wire.UDPPacketConn listener that routes
-//     datagrams by source address to per-peer endpoints.
+//     datagrams by source address to per-peer endpoints. Both stand on
+//     wire's one UDP socket core, so the listener's receives and its
+//     endpoints' sends batch (recvmmsg/sendmmsg on Linux) like a client's.
 //
 // Because a userspace ARQ is exactly the kind of code that is subtly
 // wrong under loss/reorder/duplication, the package carries its own

@@ -37,4 +37,15 @@
 // zero-copy ownership conventions of the datagram datapath hold end to
 // end, and writers coalesce queued pooled buffers into single vectored
 // writes (net.Buffers/writev) instead of one syscall per record.
+//
+// UDP runs on one socket core under two thin fronts: UDPConn, the
+// connected client carrying the internal/udp shim, and UDPPacketConn,
+// the listener demux that delivers each datagram with its source address.
+// Both ends of a uTCP flow therefore share one I/O path: a reader
+// goroutine receiving batches (recvmmsg with a source address per slot
+// on Linux amd64/arm64, one ReadFromUDPAddrPort elsewhere) and a
+// loop-confined queue of (buffer, destination) pairs flushed once per
+// loop turn (sendmmsg on Linux, one send per datagram elsewhere). Fault
+// seams, truncation, counters, backoff and Close exist once, around the
+// build-tagged primitives.
 package wire

@@ -27,10 +27,12 @@ type FaultHooks struct {
 	// bytes (a short read); (_, err) to inject err in place of the
 	// syscall. An injected syscall.EAGAIN behaves like a spurious
 	// readiness edge (the read is retried shortly); any other error is
-	// terminal for the connection's receive side. On datagram sockets a
-	// cap truncates the received datagram(s) — the kernel's behaviour for
-	// an undersized receive buffer — and errors are transient, because UDP
-	// treats everything short of a closed socket as recoverable.
+	// terminal for the connection's receive side. On datagram sockets the
+	// hook is consulted once per datagram (an installed Read hook turns
+	// batched receives into single ones), a cap truncates the datagram —
+	// the kernel's behaviour for an undersized receive buffer — and errors
+	// are transient, because UDP treats everything short of a closed
+	// socket as recoverable.
 	Read func(size int) (int, error)
 	// Write is the same contract for vectored writes, consulted with the
 	// total queued bytes. A cap truncates the batch to a prefix (a partial

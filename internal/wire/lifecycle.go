@@ -67,8 +67,16 @@ func (c *Conn) OnDrain(fn func()) { c.onDrain = fn }
 // teardown — with the latched error. The minion layer uses it to report
 // the fate of every datagram it still holds; it fires before buffers are
 // irrecoverable, on the event loop (or inline during teardown once the
-// loop is gone). Must be called on the loop.
-func (c *Conn) OnError(fn func(error)) { c.onError = fn }
+// loop is gone). The error latches: a hook registered after the
+// connection already failed fires at once with the cause. Must be called
+// on the loop.
+func (c *Conn) OnError(fn func(error)) {
+	if c.errCause != nil && fn != nil {
+		fn(c.errCause)
+		return
+	}
+	c.onError = fn
+}
 
 // OnEOF registers a loop-confined callback fired at most once when the
 // peer closes its send direction gracefully (the read side reaches EOF
@@ -82,14 +90,14 @@ func (c *Conn) OnEOF(fn func()) { c.onEOF = fn }
 // fireError delivers the terminal error to the OnError hook, once.
 // Loop-confined (or post-loop teardown).
 func (c *Conn) fireError(err error) {
-	if c.errFired {
+	if c.errCause != nil {
 		return
 	}
-	c.errFired = true
+	if err == nil {
+		err = tcp.ErrClosed
+	}
+	c.errCause = err
 	if c.onError != nil {
-		if err == nil {
-			err = tcp.ErrClosed
-		}
 		c.onError(err)
 	}
 }

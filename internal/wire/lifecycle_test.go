@@ -69,6 +69,42 @@ func TestReadIdleTimeoutAborts(t *testing.T) {
 	}
 }
 
+// TestOnErrorLatchesEarlyAbort: a terminal error that fires before any
+// hook registers is latched, and a hook registered afterwards fires at
+// once with the cause. Group modes only — a dedicated connection's loop
+// stops with it, leaving nothing to register on.
+func TestOnErrorLatchesEarlyAbort(t *testing.T) {
+	for _, mode := range []string{"shared", "poll"} {
+		t.Run(mode, func(t *testing.T) {
+			polled := mode == "poll"
+			if polled && !pollSupported {
+				t.Skip("no poller")
+			}
+			gA, gB := newGroup(1, polled), newGroup(1, polled)
+			t.Cleanup(func() { gA.Close(); gB.Close() })
+			// Only a idles out: a deadline on b could end a's read side
+			// first, with EOF instead of ErrTimeout.
+			a, _ := pipePairCfg(t,
+				Config{ReadIdleTimeout: time.Millisecond, Group: gA},
+				Config{Group: gB})
+			// Wait for the abort itself: Read surfaces the latched cause.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				var err error
+				a.Do(func() { _, err = a.Read(make([]byte, 1)) })
+				if errors.Is(err, ErrTimeout) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no read-idle abort within 5s (Read: %v)", err)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			waitTimeoutErr(t, watchErr(t, a), "hook registered after the abort")
+		})
+	}
+}
+
 func TestReadTrafficDefersIdleTimeout(t *testing.T) {
 	// Asymmetric: only a has the idle deadline — b receives nothing, and a
 	// deadline on b would FIN the pipe mid-test.

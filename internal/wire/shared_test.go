@@ -388,3 +388,66 @@ func TestOnWritableFiresAfterDrain(t *testing.T) {
 		})
 	}
 }
+
+// TestOnWritableLateRegistrationFires: a rejection arms the writable
+// edge even before a callback is registered. A sender that registers
+// only after its first ErrWouldBlock (minion's TrySend queue does) may
+// find the queue already drained, with no further edge coming; the
+// registration itself must fire the edge.
+func TestOnWritableLateRegistrationFires(t *testing.T) {
+	for _, mode := range []string{"dedicated", "shared", "poll"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "poll" && !pollSupported {
+				t.Skip("no readiness poller on this platform")
+			}
+			cfg := Config{SendBufBytes: 16 * 1024, NoDelay: true}
+			var a, b *Conn
+			switch mode {
+			case "shared":
+				a, b = sharedPair(t, cfg)
+			case "poll":
+				a, b = pollPair(t, cfg)
+			default:
+				a, b = pipePair(t, cfg)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if time.Now().After(deadline) {
+					t.Skip("send buffer never filled (huge kernel buffers?)")
+				}
+				var err error
+				a.Do(func() { _, err = a.WriteMsgBuf(buf.Get(4*1024), tcp.WriteOptions{}) })
+				if err == tcp.ErrWouldBlock {
+					break
+				} else if err != nil {
+					t.Fatalf("WriteMsgBuf: %v", err)
+				}
+			}
+			b.Do(func() {
+				p := make([]byte, 32*1024)
+				drain := func() {
+					for {
+						if _, err := b.Read(p); err != nil {
+							return
+						}
+					}
+				}
+				b.OnReadable(drain)
+				drain()
+			})
+			for a.SendBufAvailable() < cfg.SendBufBytes {
+				if time.Now().After(deadline) {
+					t.Fatal("send queue never drained")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			writable := make(chan struct{}, 1)
+			a.Do(func() { a.OnWritable(func() { writable <- struct{}{} }) })
+			select {
+			case <-writable:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the edge the rejection armed was lost: OnWritable never fired")
+			}
+		})
+	}
+}

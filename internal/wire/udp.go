@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"minion/internal/buf"
@@ -48,37 +50,276 @@ func (cfg UDPConfig) defaults() UDPConfig {
 	return cfg
 }
 
+// udpSock is the one UDP socket core under both the connected shim
+// (UDPConn) and the listener demux (UDPPacketConn). It owns the socket, an
+// rt.Loop, one reader goroutine and one loop-confined send queue, and
+// everything around the build-tagged batch primitives (recv and
+// sendBatch) happens here once: fault seams, truncation, the hand-off of
+// each datagram at its own size, I/O counting, EINTR and transient-error
+// backoff, the lane hand-off, and the Close ordering.
+//
+// The reader pulls up to udpBatch datagrams per syscall (recvmmsg with a
+// source address per slot on Linux, ReadFromUDPAddrPort elsewhere) and
+// posts each batch into the loop as one hand-off. Sends queue as
+// (buffer, destination) pairs during a stretch of loop work and flush
+// once per loop turn (sendmmsg on Linux, one send per datagram elsewhere).
+type udpSock struct {
+	loop *rt.Loop
+	lane *rt.Lane
+	nc   *net.UDPConn
+	io   *ioCounters // this socket's I/O stat shard
+
+	// Loop-confined. deliver takes ownership of each received datagram;
+	// while it is nil (a listener before OnPacket) datagrams wait in pendQ.
+	deliver    func(b *buf.Buffer, from netip.AddrPort)
+	pendQ      []udpMsg
+	sendQ      []udpMsg
+	flushArmed bool
+
+	// Reader-owned receive slots of udp.MaxDatagram bytes each, set up by
+	// the platform's initIO, plus the lengths and sources the receive
+	// primitive fills in. While datagrams over half a slot flow (ProtoUDP
+	// carries up to udp.MaxDatagram), a pooled arena in rbufs stands in
+	// for its slot, so such a datagram is handed off zero-copy.
+	rslots [udpBatch][]byte
+	rbufs  [udpBatch]*buf.Buffer
+	rlen   [udpBatch]int
+	rfrom  [udpBatch]netip.AddrPort
+	mm     mmsgState // platform-specific batching state
+
+	readerDone chan struct{}
+	closeOnce  sync.Once
+}
+
+// udpMsg is one datagram and its peer: the source of a received one, the
+// destination of a queued one (zero on a connected socket).
+type udpMsg struct {
+	b    *buf.Buffer
+	addr netip.AddrPort
+}
+
+// open sizes the kernel queues and starts the loop and the reader.
+func (s *udpSock) open(nc *net.UDPConn, cfg UDPConfig, deliver func(*buf.Buffer, netip.AddrPort)) {
+	cfg = cfg.defaults()
+	// Size the kernel queues before any traffic: errors degrade to the
+	// kernel default, never to a broken socket.
+	if cfg.SockSendBufBytes > 0 {
+		nc.SetWriteBuffer(cfg.SockSendBufBytes)
+	}
+	if cfg.SockRecvBufBytes > 0 {
+		nc.SetReadBuffer(cfg.SockRecvBufBytes)
+	}
+	s.nc, s.io, s.deliver = nc, nextIO(), deliver
+	s.readerDone = make(chan struct{})
+	s.initIO()
+	s.loop = rt.NewLoop()
+	s.lane = s.loop.NewLane()
+	go s.readLoop()
+}
+
+// LocalAddr returns the socket's local address.
+func (s *udpSock) LocalAddr() net.Addr { return s.nc.LocalAddr() }
+
+// Loop exposes the event loop so protocol machinery (uTCP's ARQ) can be
+// hosted on it — rt.Loop implements rt.Runtime, so the same state
+// machines the simulator drives run here on wall-clock timers.
+func (s *udpSock) Loop() *rt.Loop { return s.loop }
+
+// Do runs fn on the event loop (false once closed).
+func (s *udpSock) Do(fn func()) bool { return s.loop.Do(fn) }
+
+// Post queues fn on the event loop without waiting (false once closed) —
+// the non-blocking door used by cross-connection relays.
+func (s *udpSock) Post(fn func()) bool { return s.lane.Post(fn) }
+
+// Close flushes what is queued, shuts the socket, and stops the loop, in
+// that order: queued sends (a listener's abort RSTs) leave while the
+// socket is open; the reader exits on the closed socket; Loop.Close runs
+// every hand-off already accepted; and once the event goroutine is gone,
+// whatever that final work queued returns to the pool.
+func (s *udpSock) Close() {
+	s.closeOnce.Do(func() {
+		s.loop.Do(s.flush)
+		s.nc.Close()
+		<-s.readerDone
+		s.loop.Close()
+		for _, m := range append(s.sendQ, s.pendQ...) {
+			m.b.Release()
+		}
+		s.sendQ, s.pendQ = nil, nil
+	})
+}
+
+// readLoop is the one reader. Zero-length datagrams are valid UDP and are
+// delivered (matching the simulated shim). Every error short of a closed
+// socket is transient — ECONNREFUSED surfaced on a connected socket by an
+// ICMP port-unreachable when the peer is not up yet, an injected fault —
+// so it backs off and keeps reading.
+func (s *udpSock) readLoop() {
+	defer close(s.readerDone)
+	defer s.releaseIO()
+	defer s.dropArenas()
+	large := false // the last round held a datagram over half a slot
+	for {
+		capN, ferr, fok := faultRead(udp.MaxDatagram)
+		if fok && ferr != nil {
+			time.Sleep(faultRetryDelay)
+			continue
+		}
+		// The read seam works per datagram, like the send side's: with a
+		// Read hook installed each consultation covers a receive of one
+		// datagram, so an injected cap or fault lands on exactly one.
+		width := udpBatch
+		if h := faultHooks.Load(); h != nil && h.Read != nil {
+			width = 1
+		}
+		if large {
+			for i := range s.rbufs[:width] {
+				if s.rbufs[i] == nil {
+					s.rbufs[i] = buf.Get(udp.MaxDatagram)
+				}
+			}
+		}
+		n, err := s.recv(width)
+		switch {
+		case errors.Is(err, net.ErrClosed):
+			return
+		case errors.Is(err, syscall.EINTR):
+			continue
+		case err != nil:
+			// Back off so a persistent error cannot spin.
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		s.io.udpRecvCalls.Add(1)
+		s.io.udpRecvDatagrams.Add(uint64(n))
+		if n == 0 {
+			continue
+		}
+		batch := make([]udpMsg, n)
+		large = false
+		for i := range batch {
+			nlen := s.rlen[i]
+			large = large || nlen > udp.MaxDatagram/2
+			if fok && capN > 0 && capN < nlen {
+				// Injected short read: the datagram is truncated as if
+				// received into an undersized buffer.
+				nlen = capN
+			}
+			if b := s.rbufs[i]; b != nil {
+				// Zero-copy when it fills over half the arena, else
+				// copied at its own size (RightSize).
+				batch[i] = udpMsg{b.RightSize(nlen), s.rfrom[i]}
+				s.rbufs[i] = nil
+				continue
+			}
+			// Copied out at its own size: the slots are reused every round,
+			// and a datagram queued in the loop must not pin 64 KiB.
+			batch[i] = udpMsg{buf.From(s.rslots[i][:nlen]), s.rfrom[i]}
+		}
+		if !large {
+			s.dropArenas()
+		}
+		if !s.lane.Post(func() { s.input(batch) }) {
+			for _, m := range batch {
+				m.b.Release()
+			}
+			return
+		}
+	}
+}
+
+// slot is where receive slot i lands: its pooled arena while large
+// datagrams flow, else the platform's slot.
+func (s *udpSock) slot(i int) []byte {
+	if b := s.rbufs[i]; b != nil {
+		return b.Bytes()
+	}
+	return s.rslots[i]
+}
+
+// dropArenas returns the spare receive arenas to the pool. Reader-owned.
+func (s *udpSock) dropArenas() {
+	for i, b := range s.rbufs {
+		if b != nil {
+			b.Release()
+			s.rbufs[i] = nil
+		}
+	}
+}
+
+// input hands a received batch to deliver, or queues it until a callback
+// registers. Runs on the loop.
+func (s *udpSock) input(batch []udpMsg) {
+	for _, m := range batch {
+		if s.deliver == nil {
+			s.pendQ = append(s.pendQ, m)
+			continue
+		}
+		s.deliver(m.b, m.addr)
+	}
+}
+
+// send queues b for to and arms a flush right behind the loop work
+// currently draining, so every datagram a callback burst emits leaves in
+// one batch. Runs on the loop; consumes b.
+func (s *udpSock) send(b *buf.Buffer, to netip.AddrPort) {
+	s.sendQ = append(s.sendQ, udpMsg{b, to})
+	if !s.flushArmed {
+		s.flushArmed = true
+		s.loop.Post(s.flush)
+	}
+}
+
+// flush is the one send path. The fault seam is consulted once per
+// datagram, in send order, before the syscall: an injected fault drops
+// exactly that datagram, like a kernel send error — UDP is lossy by
+// contract — so a Bernoulli loss schedule punches holes inside a batch
+// instead of erasing whole flights. Runs on the loop.
+func (s *udpSock) flush() {
+	s.flushArmed = false
+	q := s.sendQ
+	kept := q[:0]
+	for _, m := range q {
+		if _, ferr, ok := faultWrite(m.b.Len()); ok && ferr != nil {
+			m.b.Release()
+			continue
+		}
+		kept = append(kept, m)
+	}
+	for rest := kept; len(rest) > 0; {
+		n, err := s.sendBatch(rest)
+		switch {
+		case errors.Is(err, net.ErrClosed):
+			n = len(rest)
+		case errors.Is(err, syscall.EINTR):
+			continue
+		case err != nil || n == 0:
+			n = 1 // per-datagram failure: drop it, keep the rest
+		default:
+			s.io.udpSendCalls.Add(1)
+			s.io.udpSendDatagrams.Add(uint64(n))
+		}
+		rest = rest[n:]
+	}
+	for _, m := range kept {
+		m.b.Release()
+	}
+	clear(q)
+	s.sendQ = q[:0]
+}
+
 // UDPConn is the trivial Minion shim (internal/udp) bound to a real
 // net.UDPConn instead of an emulated link: the deployable "UDP works
 // here" substrate (paper §3.2). Like Conn it owns an rt.Loop so the
 // shim's state is confined to one event goroutine; datagrams enter and
-// leave in pooled buffers.
-//
-// I/O is batched where the kernel allows it: outgoing datagrams queued
-// during one burst of loop work flush together (sendmmsg on Linux, a
-// plain send loop elsewhere), and the reader pulls up to a batch of
-// datagrams per syscall (recvmmsg on Linux), posting the whole batch
-// into the loop as one hand-off.
+// leave in pooled buffers through the batched socket core.
 type UDPConn struct {
-	loop    *rt.Loop
-	lane    *rt.Lane
-	nc      *net.UDPConn
-	u       *udp.Conn
-	io      *ioCounters // this socket's I/O stat shard
-	writeTo net.Addr    // nil when nc is connected
-
-	// Loop-confined send coalescing: datagrams the shim emits during one
-	// stretch of loop work accumulate here and flush in one batch.
-	sendQ      []*buf.Buffer
-	flushArmed bool
+	udpSock
+	u      *udp.Conn
+	remote netip.AddrPort // Send's destination; zero on a connected socket
 
 	tryBytes atomic.Int64 // TrySend payload accepted but not yet sent
-
-	batchOK bool      // platform batch paths usable on this socket
-	mm      mmsgState // platform-specific batching state
-
-	readerDone chan struct{}
-	closeOnce  sync.Once
 }
 
 // NewUDPConn wraps an open socket. remote, when non-nil, is the
@@ -90,36 +331,15 @@ func NewUDPConn(nc *net.UDPConn, remote net.Addr) *UDPConn {
 
 // NewUDPConnConfig is NewUDPConn with socket tuning.
 func NewUDPConnConfig(nc *net.UDPConn, remote net.Addr, cfg UDPConfig) *UDPConn {
-	cfg = cfg.defaults()
-	// Size the kernel queues before any traffic: errors degrade to the
-	// kernel default, never to a broken socket.
-	if cfg.SockSendBufBytes > 0 {
-		nc.SetWriteBuffer(cfg.SockSendBufBytes)
+	c := &UDPConn{u: udp.New()}
+	if ua, ok := remote.(*net.UDPAddr); ok {
+		// Unmapped, as WriteToUDPAddrPort needs on an IPv4 socket; an
+		// IPv6 socket maps it back.
+		ap := ua.AddrPort()
+		c.remote = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	}
-	if cfg.SockRecvBufBytes > 0 {
-		nc.SetReadBuffer(cfg.SockRecvBufBytes)
-	}
-	c := &UDPConn{
-		loop:       rt.NewLoop(),
-		nc:         nc,
-		u:          udp.New(),
-		io:         nextIO(),
-		writeTo:    remote,
-		readerDone: make(chan struct{}),
-	}
-	c.lane = c.loop.NewLane()
-	c.initBatch()
-	c.u.SetOutput(func(b *buf.Buffer, wireSize int) {
-		// Runs on the loop: queue and arm a flush right behind the work
-		// currently draining, so every datagram a callback burst emits
-		// leaves in one batched send.
-		c.sendQ = append(c.sendQ, b)
-		if !c.flushArmed {
-			c.flushArmed = true
-			c.loop.Post(c.flushSend)
-		}
-	})
-	go c.readLoop()
+	c.u.SetOutput(func(b *buf.Buffer, wireSize int) { c.send(b, c.remote) })
+	c.open(nc, cfg, func(b *buf.Buffer, _ netip.AddrPort) { c.u.InputBuf(b) })
 	return c
 }
 
@@ -146,25 +366,10 @@ func DialUDPConfig(network, addr string, cfg UDPConfig) (*UDPConn, error) {
 	return NewUDPConnConfig(unc, nil, cfg), nil
 }
 
-// LocalAddr returns the socket's local address.
-func (c *UDPConn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
-
-// Do runs fn on the shim's event loop (false once closed).
-func (c *UDPConn) Do(fn func()) bool { return c.loop.Do(fn) }
-
-// Loop exposes the event loop so protocol machinery (uTCP's ARQ) can be
-// hosted on it — rt.Loop implements rt.Runtime, so the same state
-// machines the simulator drives run here on wall-clock timers.
-func (c *UDPConn) Loop() *rt.Loop { return c.loop }
-
 // Shim exposes the internal UDP endpoint for layers that ride the
 // datagram path directly (uTCP binds its segment codec to it). All
 // access must happen on the event loop (via Do/Post).
 func (c *UDPConn) Shim() *udp.Conn { return c.u }
-
-// Post queues fn on the shim's event loop without waiting (false once
-// closed) — the non-blocking door used by cross-connection relays.
-func (c *UDPConn) Post(fn func()) bool { return c.lane.Post(fn) }
 
 // Send transmits one datagram (callable from any goroutine).
 func (c *UDPConn) Send(msg []byte) error {
@@ -247,104 +452,4 @@ func (c *UDPConn) OnMessage(fn func(msg []byte)) {
 func (c *UDPConn) Stats() (st udp.Stats) {
 	c.loop.Do(func() { st = c.u.Stats() })
 	return
-}
-
-// Close shuts the socket and the event loop down.
-func (c *UDPConn) Close() {
-	c.closeOnce.Do(func() {
-		c.nc.Close()
-		<-c.readerDone
-		// Drain work already handed to the loop before stopping it
-		// (Loop.Close drains nothing, and posted closures own pooled
-		// buffers): first the reader's final datagram batch, then any
-		// flush it armed — sends on the closed socket fail and release.
-		c.loop.Do(func() {})
-		c.loop.Do(c.flushSend)
-		c.loop.Close()
-	})
-}
-
-// flushSend drains the queued outgoing datagrams in one batched send.
-// Runs on the loop, right behind the callback burst that queued them.
-func (c *UDPConn) flushSend() {
-	c.flushArmed = false
-	batch := c.sendQ
-	c.sendQ = nil
-	c.sendBatch(batch)
-}
-
-// sendOne is the portable single-datagram send (also the non-batch
-// fallback on Linux). It consumes b. An injected send fault drops the
-// datagram exactly like a kernel send error would — UDP is lossy by
-// contract, so the seam exercises the drop path, not a retry.
-func (c *UDPConn) sendOne(b *buf.Buffer) {
-	if _, ferr, ok := faultWrite(b.Len()); ok && ferr != nil {
-		b.Release()
-		return
-	}
-	c.io.udpSendCalls.Add(1)
-	c.io.udpSendDatagrams.Add(1)
-	if c.writeTo != nil {
-		c.nc.WriteTo(b.Bytes(), c.writeTo)
-	} else {
-		c.nc.Write(b.Bytes())
-	}
-	b.Release()
-}
-
-// readLoop pulls datagrams into pooled buffers and hands ownership to the
-// shim on the event loop, a batch per hand-off where the platform
-// supports it. Zero-length datagrams are valid UDP and are delivered
-// (matching the simulated shim); transient read errors — e.g.
-// ECONNREFUSED surfaced on a connected socket by an ICMP port-unreachable
-// when the peer is not up yet — do not kill the reader, only a closed
-// socket does.
-func (c *UDPConn) readLoop() {
-	defer close(c.readerDone)
-	// The batch path keeps spare receive arenas pinned between rounds;
-	// they must go back to the pool when the reader exits or every
-	// closed socket costs a batch of leaked arenas.
-	defer c.releaseBatch()
-	for c.readBatch() {
-	}
-}
-
-// readOne is the portable single-datagram receive (also the non-batch
-// fallback on Linux). It reports whether the reader should continue.
-func (c *UDPConn) readOne() bool {
-	b := buf.Get(udp.MaxDatagram)
-	capN, ferr, ok := faultRead(b.Len())
-	if ok && ferr != nil {
-		// Injected receive fault: UDP treats everything short of a closed
-		// socket as transient (exactly the ICMP-error shape below), so the
-		// seam exercises the retry path rather than killing the reader.
-		b.Release()
-		time.Sleep(faultRetryDelay)
-		return true
-	}
-	n, _, err := c.nc.ReadFrom(b.Bytes())
-	c.io.udpRecvCalls.Add(1)
-	if err == nil {
-		c.io.udpRecvDatagrams.Add(1)
-		if ok && capN > 0 && capN < n {
-			// Injected short read: deliver only the datagram's head, as if
-			// the kernel truncated it into an undersized receive buffer.
-			n = capN
-		}
-		// RightSize: a burst of small datagrams must not pin a full
-		// 64 KiB arena each while queued in the loop.
-		dg := b.RightSize(n)
-		if !c.lane.Post(func() { c.u.InputBuf(dg) }) {
-			dg.Release()
-			return false
-		}
-		return true
-	}
-	b.Release()
-	if errors.Is(err, net.ErrClosed) {
-		return false
-	}
-	// Transient: back off briefly so a persistent error cannot spin.
-	time.Sleep(time.Millisecond)
-	return true
 }

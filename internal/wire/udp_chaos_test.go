@@ -10,10 +10,10 @@ import (
 	"minion/internal/buf"
 )
 
-// UDP chaos: the FaultHooks seam now covers the shim's datapaths —
-// sendmmsg/recvmmsg batches on Linux, the portable single-datagram
-// fallback elsewhere — so error storms exercise the drop and retry
-// policies with the pool ledger watched for leaks.
+// UDP chaos: the FaultHooks seam covers the socket core's one receive
+// and one send path — sendmmsg/recvmmsg batches on Linux, a batch of one
+// elsewhere — so error storms exercise the drop and retry policies with
+// the pool ledger watched for leaks.
 
 // udpChaosPair builds two shim endpoints aimed at each other.
 func udpChaosPair(t *testing.T) (*UDPConn, *UDPConn) {
@@ -97,23 +97,27 @@ func TestChaosUDPFaultStorm(t *testing.T) {
 	}
 }
 
-// TestChaosUDPSendOneFault pins the portable single-datagram seam
-// directly: an injected fault must release the buffer and send nothing.
+// TestChaosUDPSendOneFault pins the one send path's seam directly: an
+// injected fault on a single queued datagram must release the buffer and
+// send nothing.
 func TestChaosUDPSendOneFault(t *testing.T) {
 	chaosCheck(t)
 	a, b := udpChaosPair(t)
 	var got atomic.Int64
 	b.OnMessage(func(msg []byte) { got.Add(1) })
+	sendOne := func(msg string) {
+		a.Do(func() { a.send(buf.From([]byte(msg)), a.remote); a.flush() })
+	}
 
 	before := ReadIOStats()
 	SetFaultHooks(&FaultHooks{Write: func(size int) (int, error) { return 0, syscall.ENOBUFS }})
-	a.sendOne(buf.From([]byte("dropped")))
+	sendOne("dropped")
 	SetFaultHooks(nil)
 	if d := ReadIOStats().UDPSendCalls - before.UDPSendCalls; d != 0 {
-		t.Fatalf("faulted sendOne issued %d syscalls", d)
+		t.Fatalf("faulted send issued %d syscalls", d)
 	}
 
-	a.sendOne(buf.From([]byte("through")))
+	sendOne("through")
 	deadline := time.Now().Add(5 * time.Second)
 	for got.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

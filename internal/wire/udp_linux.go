@@ -4,26 +4,28 @@ package wire
 
 import (
 	"net"
+	"net/netip"
+	"strconv"
 	"syscall"
-	"time"
 	"unsafe"
 
-	"minion/internal/buf"
 	"minion/internal/udp"
 )
 
-// Batched UDP socket I/O: recvmmsg pulls up to udpBatch datagrams per
-// syscall into pooled buffers, sendmmsg pushes a queued burst out in one.
-// Both run through syscall.RawConn so the sockets stay inside the Go
-// netpoller (MSG_DONTWAIT plus wait-for-ready, never a blocked thread).
+// Batched UDP primitives: recvmmsg pulls up to udpBatch datagrams per
+// syscall, each with its source address; sendmmsg pushes a queued burst
+// out in one, each with its own destination (none on a connected
+// socket). Both run through syscall.RawConn so the sockets stay inside
+// the Go netpoller (MSG_DONTWAIT plus wait-for-ready, never a blocked
+// thread). Everything around them lives in the shared core (udp.go).
 //
 // The syscalls are issued directly against the stdlib syscall package —
 // no cgo, no external deps; non-Linux (and exotic-arch) builds use the
-// portable single-datagram loop in udp_portable.go.
+// portable primitives in udp_portable.go.
 
 // udpBatch is the mmsg vector width: 32 datagrams per syscall amortizes
 // the crossing well past the point of diminishing returns while keeping
-// at most 32 spare receive arenas pinned per connection.
+// the receive slots' mapping at 2 MiB of address space per socket.
 const udpBatch = 32
 
 // mmsghdr mirrors the kernel's struct mmsghdr. On 64-bit targets
@@ -38,233 +40,216 @@ type mmsghdr struct {
 // compile-time layout check: one mmsghdr must be exactly 64 bytes.
 var _ = [1]byte{}[64-unsafe.Sizeof(mmsghdr{})]
 
-// mmsgState is the per-connection batching scratch: vectors reused across
-// rounds, plus the pre-encoded destination sockaddr for unconnected
-// sockets.
+// mmsgState is the per-socket batching scratch, reused across rounds.
+// Names are sockaddr_in6-sized, which holds either family.
 type mmsgState struct {
-	rc    syscall.RawConn
-	rhdrs [udpBatch]mmsghdr
-	riov  [udpBatch]syscall.Iovec
-	rbufs [udpBatch]*buf.Buffer
+	rc        syscall.RawConn
+	family    int  // socket family: how destinations encode
+	connected bool // the kernel fixes the peer: no names either way
 
-	shdrs [udpBatch]mmsghdr
-	siov  [udpBatch]syscall.Iovec
+	rzone, szone zoneCache // the reader's and the loop's
 
-	saddr    syscall.RawSockaddrAny
-	saddrLen uint32 // 0 on connected sockets (kernel routes by peer)
+	rhdrs  [udpBatch]mmsghdr
+	riov   [udpBatch]syscall.Iovec
+	rnames [udpBatch]syscall.RawSockaddrInet6
+
+	shdrs  [udpBatch]mmsghdr
+	siov   [udpBatch]syscall.Iovec
+	snames [udpBatch]syscall.RawSockaddrInet6
 }
 
-// initBatch wires the raw descriptor and destination; any miss falls the
-// connection back to the portable loop.
-func (c *UDPConn) initBatch() {
-	rc, err := c.nc.SyscallConn()
+// initIO maps the receive slots, wires the raw descriptor and learns
+// the socket family. The slots live in one anonymous mapping so only the
+// pages datagrams actually write become resident: udpBatch heap arenas
+// would be zeroed, and so resident, in full.
+func (s *udpSock) initIO() {
+	m := &s.mm
+	ring, err := syscall.Mmap(-1, 0, udpBatch*udp.MaxDatagram,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {
-		return
+		ring = make([]byte, udpBatch*udp.MaxDatagram)
 	}
-	c.mm.rc = rc
-	if c.writeTo != nil {
-		ua, ok := c.writeTo.(*net.UDPAddr)
-		if !ok || ua.Zone != "" {
-			return // scoped/opaque addresses take the portable path
-		}
-		n, ok := encodeSockaddr(&c.mm.saddr, ua)
-		if !ok {
-			return
-		}
-		c.mm.saddrLen = n
+	for i := range s.rslots {
+		s.rslots[i] = ring[i*udp.MaxDatagram : (i+1)*udp.MaxDatagram]
 	}
-	c.batchOK = true
+	m.rc, _ = s.nc.SyscallConn() // errors only for a nil *net.UDPConn
+	m.connected = s.nc.RemoteAddr() != nil
+	m.family = syscall.AF_INET6
+	m.rc.Control(func(fd uintptr) {
+		if sa, err := syscall.Getsockname(int(fd)); err == nil {
+			if _, ok := sa.(*syscall.SockaddrInet4); ok {
+				m.family = syscall.AF_INET
+			}
+		}
+	})
 }
 
-// encodeSockaddr writes ua into sa in kernel sockaddr layout, returning
-// the length to pass as msg_namelen.
-func encodeSockaddr(sa *syscall.RawSockaddrAny, ua *net.UDPAddr) (uint32, bool) {
-	if ip4 := ua.IP.To4(); ip4 != nil {
-		p := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		p.Family = syscall.AF_INET
-		port := (*[2]byte)(unsafe.Pointer(&p.Port))
-		port[0] = byte(ua.Port >> 8)
-		port[1] = byte(ua.Port)
-		copy(p.Addr[:], ip4)
-		return syscall.SizeofSockaddrInet4, true
-	}
-	if ip6 := ua.IP.To16(); ip6 != nil {
-		p := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
-		p.Family = syscall.AF_INET6
-		port := (*[2]byte)(unsafe.Pointer(&p.Port))
-		port[0] = byte(ua.Port >> 8)
-		port[1] = byte(ua.Port)
-		copy(p.Addr[:], ip6)
-		return syscall.SizeofSockaddrInet6, true
-	}
-	return 0, false
+// releaseIO unmaps the receive slots once the reader is done with them
+// (every datagram landing there was copied out). A heap fallback is not
+// a mapping, and Munmap refuses it harmlessly.
+func (s *udpSock) releaseIO() {
+	syscall.Munmap(s.rslots[0][:udpBatch*udp.MaxDatagram])
 }
 
-// releaseBatch returns the spare receive arenas readBatch keeps between
-// rounds. Runs on the reader goroutine as it exits (nothing else touches
-// rbufs).
-func (c *UDPConn) releaseBatch() {
-	for i := range c.mm.rbufs {
-		if c.mm.rbufs[i] != nil {
-			c.mm.rbufs[i].Release()
-			c.mm.rbufs[i] = nil
-		}
-	}
-}
-
-// readBatch receives up to udpBatch datagrams with one recvmmsg and posts
-// the whole batch into the loop as a single hand-off. It reports whether
-// the reader should continue.
-func (c *UDPConn) readBatch() bool {
-	if !c.batchOK {
-		return c.readOne()
-	}
-	capN, ferr, fok := faultRead(udp.MaxDatagram)
-	if fok && ferr != nil {
-		// Injected receive fault on the batch path: same policy as the
-		// portable loop — everything short of a closed socket is
-		// transient for UDP, so back off and keep reading.
-		time.Sleep(faultRetryDelay)
-		return true
-	}
-	m := &c.mm
-	for i := 0; i < udpBatch; i++ {
-		if m.rbufs[i] == nil {
-			m.rbufs[i] = buf.Get(udp.MaxDatagram)
-		}
-		bs := m.rbufs[i].Bytes()
-		m.riov[i].Base = &bs[0]
-		m.riov[i].SetLen(len(bs))
+// recv receives into the first width slots with one recvmmsg, filling
+// s.rlen and s.rfrom (left zero on a connected socket, whose one peer
+// needs no decoding).
+func (s *udpSock) recv(width int) (int, error) {
+	m := &s.mm
+	for i := 0; i < width; i++ {
+		slot := s.slot(i)
+		m.riov[i] = syscall.Iovec{Base: &slot[0]}
+		m.riov[i].SetLen(len(slot))
 		m.rhdrs[i] = mmsghdr{}
 		m.rhdrs[i].hdr.Iov = &m.riov[i]
 		m.rhdrs[i].hdr.Iovlen = 1
+		if !m.connected {
+			m.rhdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.rnames[i]))
+			m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+		}
 	}
 	var n int
 	var errno syscall.Errno
-	rerr := m.rc.Read(func(fd uintptr) bool {
+	if err := m.rc.Read(func(fd uintptr) bool {
 		r1, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), udpBatch,
+			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(width),
 			syscall.MSG_DONTWAIT, 0, 0)
 		if e == syscall.EAGAIN {
 			return false // park in the netpoller until readable
 		}
 		n, errno = int(r1), e
 		return true
-	})
-	if rerr != nil {
-		return false // descriptor closed
+	}); err != nil {
+		return 0, net.ErrClosed // the descriptor is gone
 	}
 	if errno != 0 {
-		if errno == syscall.EINTR {
-			return true
-		}
-		// Transient (ICMP unreachable on a connected socket, etc.) — same
-		// policy as the portable loop: back off, keep reading.
-		time.Sleep(time.Millisecond)
-		return true
+		return 0, errno
 	}
-	c.io.udpRecvCalls.Add(1)
-	c.io.udpRecvDatagrams.Add(uint64(n))
-	if n <= 0 {
-		return true
-	}
-	dgs := make([]*buf.Buffer, n)
 	for i := 0; i < n; i++ {
-		nlen := int(m.rhdrs[i].nlen)
-		if fok && capN > 0 && capN < nlen {
-			// Injected short read applies to every datagram in the round:
-			// each is truncated as if received into an undersized buffer.
-			nlen = capN
+		s.rlen[i] = int(m.rhdrs[i].nlen)
+		if !m.connected {
+			s.rfrom[i] = decodeSockaddr(&m.rnames[i], &m.rzone)
 		}
-		dgs[i] = m.rbufs[i].RightSize(nlen)
-		m.rbufs[i] = nil
 	}
-	if !c.lane.Post(func() {
-		for _, dg := range dgs {
-			c.u.InputBuf(dg)
-		}
-	}) {
-		for _, dg := range dgs {
-			dg.Release()
-		}
-		return false
-	}
-	return true
+	return n, nil
 }
 
-// sendBatch transmits the queued burst, udpBatch datagrams per sendmmsg,
-// consuming every buffer. Per-datagram send errors are dropped exactly
-// like the portable path drops WriteTo errors: UDP is lossy by contract.
-func (c *UDPConn) sendBatch(bufs []*buf.Buffer) {
-	if !c.batchOK {
-		for _, b := range bufs {
-			c.sendOne(b)
+// sendBatch issues one sendmmsg over a prefix of q, returning how many
+// datagrams the kernel took. A datagram whose destination cannot be
+// encoded for the socket's family goes out unaddressed and fails alone,
+// like WriteToUDPAddrPort's address error.
+func (s *udpSock) sendBatch(q []udpMsg) (int, error) {
+	m := &s.mm
+	k := min(len(q), udpBatch)
+	for i := 0; i < k; i++ {
+		bs := q[i].b.Bytes()
+		m.siov[i] = syscall.Iovec{}
+		if len(bs) > 0 {
+			m.siov[i].Base = &bs[0]
+			m.siov[i].SetLen(len(bs))
 		}
-		return
-	}
-	if h := faultHooks.Load(); h != nil && h.Write != nil {
-		// Per-datagram fault consultation, matching the portable path: an
-		// injected fault drops exactly one datagram (the lossy contract),
-		// leaving the rest of the burst to travel — the granularity a
-		// Bernoulli loss schedule needs to punch reorder-producing holes
-		// inside a batch instead of erasing whole flights.
-		kept := bufs[:0]
-		for _, b := range bufs {
-			if _, ferr, ok := faultWrite(b.Len()); ok && ferr != nil {
-				b.Release()
-				continue
-			}
-			kept = append(kept, b)
-		}
-		bufs = kept
-	}
-	m := &c.mm
-	for off := 0; off < len(bufs); off += udpBatch {
-		k := len(bufs) - off
-		if k > udpBatch {
-			k = udpBatch
-		}
-		for i := 0; i < k; i++ {
-			bs := bufs[off+i].Bytes()
-			m.siov[i] = syscall.Iovec{}
-			if len(bs) > 0 {
-				m.siov[i].Base = &bs[0]
-				m.siov[i].SetLen(len(bs))
-			}
-			m.shdrs[i] = mmsghdr{}
-			m.shdrs[i].hdr.Iov = &m.siov[i]
-			m.shdrs[i].hdr.Iovlen = 1
-			if m.saddrLen > 0 {
-				m.shdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.saddr))
-				m.shdrs[i].hdr.Namelen = m.saddrLen
+		m.shdrs[i] = mmsghdr{}
+		m.shdrs[i].hdr.Iov = &m.siov[i]
+		m.shdrs[i].hdr.Iovlen = 1
+		if to := q[i].addr; to.IsValid() {
+			if n := encodeSockaddr(&m.snames[i], m.family, to, &m.szone); n > 0 {
+				m.shdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.snames[i]))
+				m.shdrs[i].hdr.Namelen = n
 			}
 		}
-		sent := 0
-		m.rc.Write(func(fd uintptr) bool {
-			for sent < k {
-				r1, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-					uintptr(unsafe.Pointer(&m.shdrs[sent])), uintptr(k-sent),
-					syscall.MSG_DONTWAIT, 0, 0)
-				switch {
-				case e == syscall.EAGAIN:
-					return false // wait for writability, then resume
-				case e == syscall.EINTR:
-					continue
-				case e != 0:
-					sent++ // per-datagram failure: drop it, keep the rest
-					continue
-				}
-				c.io.udpSendCalls.Add(1)
-				c.io.udpSendDatagrams.Add(uint64(r1))
-				if r1 == 0 {
-					return true
-				}
-				sent += int(r1)
-			}
-			return true
-		})
 	}
-	for _, b := range bufs {
-		b.Release()
+	var n int
+	var errno syscall.Errno
+	if err := m.rc.Write(func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&m.shdrs[0])), uintptr(k),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // wait for writability, then resume
+		}
+		n, errno = int(r1), e
+		return true
+	}); err != nil {
+		return 0, net.ErrClosed
 	}
+	if errno != 0 {
+		return 0, errno
+	}
+	return n, nil
+}
+
+// zoneCache remembers the last interface a zone resolved to, so a flow
+// to a link-local peer does not dump the interface table (a netlink
+// round trip) per datagram. Only a found interface is cached, so one that
+// comes up later is found; a rename shows once the flow's zone changes.
+// Each cache has a single owner goroutine.
+type zoneCache struct{ ifi net.Interface }
+
+// lookup finds an interface by index (name empty) or by name.
+func (z *zoneCache) lookup(index int, name string) *net.Interface {
+	if z.ifi.Index == 0 || (index != z.ifi.Index && name != z.ifi.Name) {
+		var ifi *net.Interface
+		var err error
+		if name != "" {
+			ifi, err = net.InterfaceByName(name)
+		} else {
+			ifi, err = net.InterfaceByIndex(index)
+		}
+		if err != nil {
+			return nil
+		}
+		z.ifi = *ifi
+	}
+	return &z.ifi
+}
+
+// encodeSockaddr writes to in the kernel sockaddr layout of the socket's
+// family — the conversion WriteToUDPAddrPort makes: an IPv4 destination
+// takes the IPv4-mapped form on an AF_INET6 socket, a mapped one unmaps
+// on AF_INET, and a zone becomes the scope id. It returns msg_namelen, or
+// 0 when the address does not fit the family.
+func encodeSockaddr(sa *syscall.RawSockaddrInet6, family int, to netip.AddrPort, zones *zoneCache) uint32 {
+	ip := to.Addr()
+	port := (*[2]byte)(unsafe.Pointer(&sa.Port)) // same offset in both layouts
+	if family == syscall.AF_INET {
+		if ip = ip.Unmap(); !ip.Is4() {
+			return 0
+		}
+		p := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
+		*p = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: ip.As4()}
+		port[0], port[1] = byte(to.Port()>>8), byte(to.Port())
+		return syscall.SizeofSockaddrInet4
+	}
+	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: ip.As16()}
+	if z := ip.Zone(); z != "" {
+		if ifi := zones.lookup(0, z); ifi != nil {
+			sa.Scope_id = uint32(ifi.Index)
+		} else if id, err := strconv.ParseUint(z, 10, 32); err == nil {
+			sa.Scope_id = uint32(id)
+		}
+	}
+	port[0], port[1] = byte(to.Port()>>8), byte(to.Port())
+	return syscall.SizeofSockaddrInet6
+}
+
+// decodeSockaddr reads a received source address exactly as
+// ReadFromUDPAddrPort reports it: 4-byte on an AF_INET socket, 16-byte
+// (IPv4-mapped for IPv4 senders) on AF_INET6, a scope id as the
+// interface's name (its number when no interface has it).
+func decodeSockaddr(sa *syscall.RawSockaddrInet6, zones *zoneCache) netip.AddrPort {
+	pb := (*[2]byte)(unsafe.Pointer(&sa.Port))
+	port := uint16(pb[0])<<8 | uint16(pb[1])
+	if sa.Family == syscall.AF_INET {
+		p := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
+		return netip.AddrPortFrom(netip.AddrFrom4(p.Addr), port)
+	}
+	ip := netip.AddrFrom16(sa.Addr)
+	if id := sa.Scope_id; id != 0 {
+		zone := strconv.FormatUint(uint64(id), 10)
+		if ifi := zones.lookup(int(id), ""); ifi != nil {
+			zone = ifi.Name
+		}
+		ip = ip.WithZone(zone)
+	}
+	return netip.AddrPortFrom(ip, port)
 }

@@ -1,44 +1,20 @@
 package wire
 
 import (
-	"errors"
 	"net"
 	"net/netip"
-	"sync"
-	"time"
 
 	"minion/internal/buf"
-	"minion/internal/rt"
 	"minion/internal/udp"
 )
 
-// UDPPacketConn is the unconnected counterpart of UDPConn: one shared
-// socket receiving datagrams from many peers, each delivered with its
-// source address so a demuxing layer (the uTCP listener) can route it to
-// the right per-peer endpoint. It owns an rt.Loop like UDPConn and keeps
-// the same fault seams; reads take the portable addressed path (the Linux
-// recvmmsg batch loop does not capture source addresses), which is fine
-// for the accept side — established high-rate flows belong on connected
-// UDPConn sockets.
-type UDPPacketConn struct {
-	loop *rt.Loop
-	lane *rt.Lane
-	nc   *net.UDPConn
-	io   *ioCounters
-
-	// Loop-confined delivery state: packets that arrive before OnPacket
-	// registers queue here and flush through the callback in order.
-	onPacket func(b *buf.Buffer, from netip.AddrPort)
-	pendQ    []addrPacket
-
-	readerDone chan struct{}
-	closeOnce  sync.Once
-}
-
-type addrPacket struct {
-	b    *buf.Buffer
-	from netip.AddrPort
-}
+// UDPPacketConn is the unconnected counterpart of UDPConn over the same
+// socket core: one shared socket receiving datagrams from many peers,
+// each delivered with its source address so a demuxing layer (the uTCP
+// listener) can route it to the right per-peer endpoint. Receives and
+// sends batch exactly as on UDPConn, so both ends of a flow run the same
+// I/O path.
+type UDPPacketConn struct{ udpSock }
 
 // ListenUDPPacket opens an unconnected UDP socket on addr and starts its
 // reader. cfg sizes the kernel buffers exactly as for UDPConn.
@@ -56,35 +32,10 @@ func ListenUDPPacket(network, addr string, cfg UDPConfig) (*UDPPacketConn, error
 
 // NewUDPPacketConn wraps an open unconnected socket.
 func NewUDPPacketConn(nc *net.UDPConn, cfg UDPConfig) *UDPPacketConn {
-	cfg = cfg.defaults()
-	if cfg.SockSendBufBytes > 0 {
-		nc.SetWriteBuffer(cfg.SockSendBufBytes)
-	}
-	if cfg.SockRecvBufBytes > 0 {
-		nc.SetReadBuffer(cfg.SockRecvBufBytes)
-	}
-	c := &UDPPacketConn{
-		loop:       rt.NewLoop(),
-		nc:         nc,
-		io:         nextIO(),
-		readerDone: make(chan struct{}),
-	}
-	c.lane = c.loop.NewLane()
-	go c.readLoop()
+	c := &UDPPacketConn{}
+	c.open(nc, cfg, nil)
 	return c
 }
-
-// LocalAddr returns the socket's local address.
-func (c *UDPPacketConn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
-
-// Loop exposes the event loop (rt.Runtime) the packets are delivered on.
-func (c *UDPPacketConn) Loop() *rt.Loop { return c.loop }
-
-// Do runs fn on the event loop (false once closed).
-func (c *UDPPacketConn) Do(fn func()) bool { return c.loop.Do(fn) }
-
-// Post queues fn on the event loop without waiting (false once closed).
-func (c *UDPPacketConn) Post(fn func()) bool { return c.lane.Post(fn) }
 
 // OnPacket registers the delivery callback, which runs on the event loop
 // and takes ownership of each datagram's buffer. Packets that arrived
@@ -92,98 +43,25 @@ func (c *UDPPacketConn) Post(fn func()) bool { return c.lane.Post(fn) }
 // registration. A nil fn stops delivery (subsequent packets queue again).
 func (c *UDPPacketConn) OnPacket(fn func(b *buf.Buffer, from netip.AddrPort)) {
 	c.loop.Do(func() {
-		c.onPacket = fn
+		c.deliver = fn
 		if fn == nil {
 			return
 		}
 		q := c.pendQ
 		c.pendQ = nil
 		for _, p := range q {
-			fn(p.b, p.from)
+			fn(p.b, p.addr)
 		}
 	})
 }
 
-// SendTo transmits one datagram to the given peer, taking ownership of b.
-// It must be called on the event loop (from OnPacket or a Do/Post
-// closure). An injected send fault drops the datagram, exactly like the
-// connected shim — UDP is lossy by contract.
+// SendTo queues one datagram to the given peer, taking ownership of b;
+// it leaves with the rest of the loop turn's sends. It must be called on
+// the event loop (from OnPacket or a Do/Post closure).
 func (c *UDPPacketConn) SendTo(b *buf.Buffer, to netip.AddrPort) {
 	if b.Len() > udp.MaxDatagram {
 		b.Release()
 		return
 	}
-	if _, ferr, ok := faultWrite(b.Len()); ok && ferr != nil {
-		b.Release()
-		return
-	}
-	c.io.udpSendCalls.Add(1)
-	c.io.udpSendDatagrams.Add(1)
-	c.nc.WriteToUDPAddrPort(b.Bytes(), to)
-	b.Release()
-}
-
-// Close shuts the socket and the event loop down.
-func (c *UDPPacketConn) Close() {
-	c.closeOnce.Do(func() {
-		c.nc.Close()
-		<-c.readerDone
-		// Drain the reader's final posts (Loop.Close drains nothing),
-		// then release anything still queued for a callback that never
-		// registered.
-		c.loop.Do(func() {})
-		c.loop.Do(func() {
-			for _, p := range c.pendQ {
-				p.b.Release()
-			}
-			c.pendQ = nil
-		})
-		c.loop.Close()
-	})
-}
-
-// readLoop pulls addressed datagrams into pooled buffers and posts them
-// to the loop one at a time. Error policy mirrors UDPConn.readOne:
-// injected and transient read errors retry after a short backoff, only a
-// closed socket ends the reader.
-func (c *UDPPacketConn) readLoop() {
-	defer close(c.readerDone)
-	for {
-		b := buf.Get(udp.MaxDatagram)
-		capN, ferr, ok := faultRead(b.Len())
-		if ok && ferr != nil {
-			b.Release()
-			time.Sleep(faultRetryDelay)
-			continue
-		}
-		n, from, err := c.nc.ReadFromUDPAddrPort(b.Bytes())
-		c.io.udpRecvCalls.Add(1)
-		if err != nil {
-			b.Release()
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		c.io.udpRecvDatagrams.Add(1)
-		if ok && capN > 0 && capN < n {
-			n = capN // injected short read: datagram truncation
-		}
-		dg := b.RightSize(n)
-		if !c.lane.Post(func() { c.deliver(dg, from) }) {
-			dg.Release()
-			return
-		}
-	}
-}
-
-// deliver hands one datagram to the registered callback, or queues it.
-// Runs on the loop.
-func (c *UDPPacketConn) deliver(b *buf.Buffer, from netip.AddrPort) {
-	if c.onPacket != nil {
-		c.onPacket(b, from)
-		return
-	}
-	c.pendQ = append(c.pendQ, addrPacket{b, from})
+	c.send(b, to)
 }

@@ -181,7 +181,7 @@ type Conn struct {
 	onDrain    func()      // Group.Shutdown graceful-flush hook
 	onError    func(error) // terminal-error hook; fires exactly once
 	onEOF      func()      // graceful peer-close hook; fires at most once
-	errFired   bool
+	errCause   error       // latched terminal error, once fired
 
 	// Lifecycle clocks and latches (lifecycle.go).
 	lastRead  atomic.Int64          // loop-time nanos of the last peer byte
@@ -476,10 +476,14 @@ func (c *Conn) WriteMsgBuf(b *buf.Buffer, opt tcp.WriteOptions) (int, error) {
 // (Config.WriteLowWater) after having risen above it or after a
 // WriteMsgBuf rejection (ErrWouldBlock) — the edge a backpressured
 // sender waits on. One registration persists across any number of
-// edges; fn == nil unregisters. Safe from any goroutine.
+// edges; fn == nil unregisters. An edge that came due before fn was
+// registered (the rejection armed it, then the queue drained) fires at
+// once, so a sender registering right after its first ErrWouldBlock
+// cannot miss it. Safe from any goroutine.
 func (c *Conn) OnWritable(fn func()) {
 	c.wmu.Lock()
 	c.onWritable = fn
+	c.notifyWritableLocked()
 	c.wmu.Unlock()
 }
 
