@@ -100,8 +100,9 @@ type Config struct {
 	DisableCC bool
 	// RACK selects RACK-TLP loss recovery (RFC 8985, rack.go): a segment
 	// is lost once one sent after it has been delivered, retransmissions
-	// included; a tail loss probe follows 2·SRTT of silence; and the RTO
-	// is armed per RFC 6298 §5.1/§5.3. Off (the default), the sender is
+	// included; a tail loss probe follows max(2·SRTT, 1 ms) of silence,
+	// the floor being the wall-clock runtime's timer granularity; and the
+	// RTO is armed per RFC 6298 §5.1/§5.3. Off (the default), the sender is
 	// Reno with RFC 6675 SACK loss marking and an RTO restarted on every
 	// transmission — the Linux 2.6.34 behaviour the simulator's paper
 	// figures are calibrated against. uTCP over UDP turns it on.

@@ -16,9 +16,9 @@ import "time"
 // after it has been delivered (cumulatively or selectively) and a
 // reordering window of min_RTT/4 has elapsed beyond the delivered
 // segment's RTT — a rule that applies to retransmissions exactly as to
-// first transmissions. A tail loss probe (TLP) sent after PTO = 2·SRTT
-// without an ACK gives RACK the delivery it needs to see a loss at the
-// tail of a burst. The RTO follows RFC 6298: started when a transmission
+// first transmissions. A tail loss probe (TLP) sent after a probe timeout
+// (PTO) without an ACK gives RACK the delivery it needs to see a loss at
+// the tail of a burst. The RTO follows RFC 6298: started when a transmission
 // finds it not running (§5.1), restarted by an ACK of new data (§5.3).
 // The RFC 6675 dupack trigger stays active alongside.
 //
@@ -26,11 +26,25 @@ import "time"
 // sharing the rtxTimer slot lazily: the slot is rescheduled only when the
 // earliest deadline moves before the pending firing, and a firing that
 // finds nothing due re-arms for whatever remains. A flow that keeps
-// sending therefore costs no timer operation per segment.
+// several segments in flight therefore costs no timer operation per
+// segment. A thin stream, whose every ACK empties the flight, stops the
+// slot on that ACK (stopRTO) and schedules it again on its next send: one
+// schedule and one cancel per segment instead of an idle firing.
+//
+// The probe timeout is max(2·SRTT, 1 ms). RFC 8985 adds a worst-case
+// delayed-ACK time (WCDelAckT) when one segment is in flight; it is left
+// out because a uTCP receiver ACKs every segment (Config.DelayedAck is
+// not reachable through minion's API). A receiver that delays ACKs needs
+// it back.
 
-// tlpMinPTO floors the probe timeout so scheduling jitter on a
-// sub-millisecond path does not trigger spurious probes.
-const tlpMinPTO = 10 * time.Millisecond
+// tlpMinPTO floors the probe timeout at the wall-clock runtime's timer
+// granularity (RFC 9002's kGranularity): a shorter deadline only fires
+// late, or early when another event wakes the runtime. On a sub-
+// millisecond path the floor, not 2·SRTT, sets the probe timeout, so a
+// stream sending every few milliseconds probes a lost datagram before
+// its next send reveals the loss. With no floor, scheduling jitter
+// produces spurious probes.
+const tlpMinPTO = time.Millisecond
 
 // rackState is the sender's RACK-TLP state. Deadlines are in runtime time
 // and zero when not armed.
@@ -118,7 +132,8 @@ func (c *Conn) tlpAllowed() bool {
 	return len(c.txSegs) > 0 && c.srtt > 0 && !c.inRecovery && c.rtoBackoff == 0 && !c.rack.tlpOut
 }
 
-// pto is the probe timeout: two smoothed RTTs, floored at tlpMinPTO.
+// pto is the probe timeout: two smoothed RTTs, floored at tlpMinPTO,
+// with no WCDelAckT term (see the header).
 func (c *Conn) pto() time.Duration {
 	if p := 2 * c.srtt; p > tlpMinPTO {
 		return p

@@ -168,13 +168,66 @@ func TestRACKTailLossProbe(t *testing.T) {
 	if st.Timeouts != 0 || st.TLPs != 1 {
 		t.Errorf("RACK: %d RTOs and %d probes, want 0 and 1", st.Timeouts, st.TLPs)
 	}
-	if bound := tlpMinPTO + 4*ts.oneWay; lat[9] > bound {
+	// On this 10 ms round trip the probe timeout is 2·SRTT, above the
+	// floor: the probe goes out 2·RTT after the send and arrives one way
+	// later, with one more one-way delay of slack.
+	rtt := 2 * ts.oneWay
+	if bound := 2*rtt + 2*ts.oneWay; lat[9] > bound {
 		t.Errorf("tail message took %v, want <= %v", lat[9], bound)
 	}
 
 	_, st = ts.run(t, false)
 	if st.Timeouts == 0 || st.TLPs != 0 {
 		t.Errorf("default recovery: %d RTOs and %d probes, want an RTO and no probe", st.Timeouts, st.TLPs)
+	}
+}
+
+// TestRACKSubMillisecondProbe runs the conferencing shape on a 0.1 ms
+// path, where 2·SRTT is far below the floor. The lost message must be
+// probed at the 1 ms floor, before the next send 2 ms later would reveal
+// the loss, and the probe must be the only one: the floor keeps the
+// runtime's timer granularity from triggering spurious probes.
+func TestRACKSubMillisecondProbe(t *testing.T) {
+	const k = 20
+	ts := thinStream{
+		interval: 2 * time.Millisecond,
+		oneWay:   50 * time.Microsecond,
+		msgs:     40,
+		drops:    map[int][]int{k: {0}},
+	}
+	lat, st := ts.run(t, true)
+	t.Logf("message %d took %v, %+v", k, lat[k], st)
+	if st.Timeouts != 0 || st.TLPs != 1 {
+		t.Errorf("RACK: %d RTOs and %d probes, want 0 and 1", st.Timeouts, st.TLPs)
+	}
+	if bound := time.Millisecond + 4*ts.oneWay; lat[k] > bound {
+		t.Errorf("message %d took %v, want <= %v", k, lat[k], bound)
+	}
+}
+
+// TestRACKIdleTimerStopped pins the stop of the rtxTimer slot once an ACK
+// empties the flight. A thin stream's every ACK does so; a firing left
+// pending with nothing due would cost the runtime one wake-up per segment.
+func TestRACKIdleTimerStopped(t *testing.T) {
+	s := sim.New(1)
+	fwd := netem.NewLink(s, netem.LinkConfig{Delay: 50 * time.Microsecond})
+	back := netem.NewLink(s, netem.LinkConfig{Delay: 50 * time.Microsecond})
+	a, _ := NewPair(s, Config{NoDelay: true, RACK: true}, Config{}, fwd, back)
+	s.RunUntil(time.Second)
+	for i := 0; i < 3; i++ {
+		if _, err := a.Write(make([]byte, thinMsgLen)); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		s.RunFor(500 * time.Microsecond)
+		if a.sndUna != a.sndNxt {
+			t.Fatalf("message %d: %d bytes unacked after 5 RTTs", i, a.sndNxt-a.sndUna)
+		}
+		if a.rtxTimer != nil {
+			t.Errorf("message %d: rtxTimer still pending with nothing in flight", i)
+		}
+	}
+	if n := s.Run(); n != 0 {
+		t.Errorf("the simulator ran %d events after every byte was acked, want 0", n)
 	}
 }
 

@@ -740,7 +740,6 @@ func (c *Conn) restartRTO() {
 func (c *Conn) stopRTO() {
 	if c.cfg.RACK {
 		c.rack.rtoAt, c.rack.ptoAt, c.rack.reoAt = 0, 0, 0
-		return // the pending firing finds nothing due
 	}
 	c.stopTimer(&c.rtxTimer)
 }

@@ -363,22 +363,29 @@ func TestConnPeerResetContract(t *testing.T) {
 					t.Fatalf("listen: %v", err)
 				}
 				t.Cleanup(func() { l.Close() })
+				sent := make(chan struct{})
 				go func() {
 					c, err := l.Accept()
 					if err != nil {
 						return
 					}
-					// Reset only once the client's first bytes arrive, so the
-					// RST cannot race its connect.
+					// Reset only once the client's first bytes arrive and its
+					// first Send has returned, so the RST races neither its
+					// connect nor that Send (a uTLS client's ClientHello goes
+					// out before Dial returns).
 					c.Read(make([]byte, 1))
+					<-sent
 					c.(*net.TCPConn).SetLinger(0)
 					c.Close()
 				}()
 				if cli, err = Dial(st.proto, st.network, l.Addr().String(), TCPConfig{NoDelay: true}); err != nil {
+					close(sent)
 					t.Fatalf("Dial: %v", err)
 				}
 				t.Cleanup(cli.Close)
-				if err := cli.Send([]byte("hello"), Options{}); err != nil {
+				err = cli.Send([]byte("hello"), Options{})
+				close(sent)
+				if err != nil {
 					t.Fatalf("Send: %v", err)
 				}
 			}
