@@ -10,16 +10,17 @@
 //     and protocol tests run here so results are a pure function of the
 //     seed.
 //   - Loop (this package): a wall-clock runtime for real deployments. A
-//     monotonic clock, a hashed timer wheel, and one event goroutine form
-//     a serial executor, so protocol code keeps the simulator's "no locks
-//     above the kernel" structure while real sockets feed it from other
-//     goroutines.
+//     monotonic clock, a hashed timer wheel, and a serial executor: a
+//     token held by the loop's event goroutine, or on an idle loop by the
+//     goroutine handing work in, which then runs it without waking
+//     anyone. Protocol code keeps the simulator's "no locks above the
+//     kernel" structure while real sockets feed it from other goroutines.
 //
 // Around Loop, this package provides the scaling machinery of the shared
 // and poll I/O modes:
 //
 //   - Lane: a connection-keyed FIFO into a loop, so N connections can
-//     multiplex one event goroutine while each keeps strict per-connection
+//     multiplex one executor while each keeps strict per-connection
 //     callback order.
 //   - LoopGroup: a loop per core with least-loaded assignment — the
 //     process shape behind minion.LoopGroup.

@@ -5,14 +5,20 @@ import (
 	"runtime/pprof"
 )
 
-// Goroutine-identity check for Loop.Do's reentrancy detection.
+// Goroutine-identity check for Loop.Do's and Loop.Close's re-entrancy
+// detection.
 //
-// Do must know whether the caller already is the loop's event goroutine
-// (run fn inline) or not (marshal it in and wait). Getting this wrong in
-// the inline direction is a correctness bug, not a performance bug: a
-// goroutine misidentified as the event goroutine runs loop-confined code
-// concurrently with the real event goroutine — a data race on every
-// protocol object attached to the loop.
+// A Loop's executor is a token that the event goroutine or one inline
+// caller holds at a time (loop.go). Do must know whether its caller
+// already holds that token — a callback re-entering the API — and so runs
+// fn inline, or not, and so must take the token on an idle loop or
+// marshal fn in and wait. Lane.Post and Schedule ask the same question to
+// tell an inline caller's own work from other goroutines' (which the
+// caller leaves to the event goroutine). Getting this wrong in the inline
+// direction is a correctness bug, not a performance bug: a goroutine
+// misidentified as the executor runs loop-confined code concurrently with
+// the real one — a data race on every protocol object attached to the
+// loop.
 //
 // An earlier design marked the event goroutine through its pprof
 // label slot and treated a pointer match as definitive. That is unsound:
@@ -24,16 +30,18 @@ import (
 // goroutine, spawned by a watchdog callback, tearing down poller state
 // under a live event loop).
 //
-// Identity therefore compares real goroutine ids: fastGoid (gls_goid.go)
-// reads the id out of the runtime's g struct in a few nanoseconds where
-// an assembly getg stub exists, and falls back to parsing the stack
-// header elsewhere. Goroutine ids are never reused across live
-// goroutines and never inherited, so the comparison is sound in both
+// Identity therefore compares real goroutine ids: whoever takes the
+// token stores its id in Loop.owner, and the check compares the caller's
+// id against it. fastGoid (gls_goid.go) reads the id out of the runtime's
+// g struct in a few nanoseconds where an assembly getg stub exists, and
+// falls back to parsing the stack header elsewhere. Goroutine ids are
+// never reused across live goroutines and never inherited, and only the
+// holder writes its own id, so the comparison is sound in both
 // directions.
 //
 // The profiler label survives purely as observability: event goroutines
-// show up in CPU and goroutine profiles labeled rt-loop=event. Nothing
-// reads it back.
+// show up in CPU and goroutine profiles labeled rt-loop=event. Inline
+// callers are not relabeled. Nothing reads the label back.
 
 // markEventGoroutine is called once by the event goroutine: it labels
 // the goroutine for profiles.
@@ -44,5 +52,7 @@ func (l *Loop) markEventGoroutine() {
 	pprof.SetGoroutineLabels(l.labelCtx)
 }
 
-// onEventGoroutine reports whether the caller is l's event goroutine.
-func (l *Loop) onEventGoroutine() bool { return fastGoid() == l.goid }
+// onExecutor reports whether the caller holds l's executor token: the
+// event goroutine inside a callback, or a goroutine running a hand-off
+// inline.
+func (l *Loop) onExecutor() bool { return fastGoid() == l.owner.Load() }

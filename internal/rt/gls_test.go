@@ -47,7 +47,7 @@ func TestSpawnedGoroutineIsNotEventGoroutine(t *testing.T) {
 	defer l.Close()
 	verdict := make(chan bool, 1)
 	l.Do(func() {
-		go func() { verdict <- l.onEventGoroutine() }()
+		go func() { verdict <- l.onExecutor() }()
 	})
 	if <-verdict {
 		t.Fatal("goroutine spawned from a loop callback misidentified as the event goroutine")

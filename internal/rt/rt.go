@@ -19,9 +19,11 @@ type Timer interface {
 
 // Runtime is the engine a protocol stack runs on: a clock, an event
 // scheduler, and a random source. All protocol callbacks — timer
-// expirations, I/O notifications — are executed serially on a single
-// goroutine (the simulator's Run caller, or a Loop's event goroutine), so
-// code above a Runtime never needs locks for its own state.
+// expirations, I/O notifications — are executed serially by one executor
+// at a time (the simulator's Run caller, or whichever goroutine holds a
+// Loop's executor token: its event goroutine, or a caller running a
+// hand-off inline on an idle loop), each after the previous one, so code
+// above a Runtime never needs locks for its own state.
 type Runtime interface {
 	// Now returns the current runtime time: virtual time on a simulator,
 	// monotonic time since start on a wall-clock loop.
@@ -30,7 +32,8 @@ type Runtime interface {
 	// fn runs after events already queued for the current instant. The
 	// returned Timer may be used to cancel.
 	Schedule(delay time.Duration, fn func()) Timer
-	// Rand returns the runtime's random source. It must only be used from
-	// the runtime's event goroutine (rand.Rand is not concurrency-safe).
+	// Rand returns the runtime's random source. It must only be used by
+	// the runtime's executor, inside callbacks (rand.Rand is not
+	// concurrency-safe).
 	Rand() *rand.Rand
 }

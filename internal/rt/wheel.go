@@ -54,7 +54,7 @@ func (t *wentry) Stop() bool {
 		return false
 	}
 	t.stopped = true
-	t.l.wheel.unlink(t)
+	t.l.unlink(t)
 	return true
 }
 

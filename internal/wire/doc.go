@@ -14,14 +14,15 @@
 // kernel exists.
 //
 // Concurrency model: protocol work for a connection executes serially on
-// an rt.Loop event goroutine, preserving the simulator's "no locks above
+// an rt.Loop's executor — its event goroutine, or on an idle loop the
+// goroutine handing work in — preserving the simulator's "no locks above
 // the kernel" invariant. A connection's I/O shape follows from its loop,
 // not from an option:
 //
 //   - Polled (Config.Group on Linux): each group loop owns a readiness
 //     poller (epoll) registered edge-triggered on every connection's fd,
 //     and the loop's event goroutine parks in it. Reads and writes run
-//     non-blocking on the event goroutine itself; a peer that stops
+//     non-blocking on the loop's executor itself; a peer that stops
 //     reading parks its connection until EPOLLOUT. One goroutine per
 //     loop, zero per connection — the shape whose per-connection cost is
 //     a map entry and an epoll registration.

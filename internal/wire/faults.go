@@ -19,8 +19,9 @@ import (
 // FaultHooks perturbs socket operations process-wide. Each hook is
 // consulted immediately before the corresponding syscall; a nil hook (or a
 // pass-through return) leaves the operation untouched. Hooks run on the
-// goroutine issuing the I/O — poll mode's event goroutines, the blocking
-// reader/writer goroutines elsewhere — and must not block.
+// goroutine issuing the I/O — the loop's executor in poll mode and for a
+// UDP socket's sends, the blocking reader/writer goroutines elsewhere —
+// and must not block.
 type FaultHooks struct {
 	// Read is consulted before each socket read with the buffer size.
 	// Return (0, nil) to pass through; (n > 0, nil) to cap the read at n

@@ -61,7 +61,16 @@ func TestReadIdleTimeoutAborts(t *testing.T) {
 			if mode == "poll" && !pollSupported {
 				t.Skip("no poller")
 			}
-			a, _ := lifecyclePair(t, mode, Config{ReadIdleTimeout: 50 * time.Millisecond})
+			// Only a idles out: a deadline on b as well could abort b
+			// first and end a's read side with EOF instead of ErrTimeout.
+			cfgA := Config{ReadIdleTimeout: 50 * time.Millisecond}
+			var cfgB Config
+			if mode != "dedicated" {
+				gA, gB := newGroup(2, mode == "poll"), newGroup(2, mode == "poll")
+				t.Cleanup(func() { gA.Close(); gB.Close() })
+				cfgA.Group, cfgB.Group = gA, gB
+			}
+			a, _ := pipePairCfg(t, cfgA, cfgB)
 			errs := watchErr(t, a)
 			// Nobody sends: the idle deadline must fire.
 			waitTimeoutErr(t, errs, "read idle")

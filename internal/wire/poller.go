@@ -107,7 +107,7 @@ func (c *Conn) pollInit(p *poller) bool {
 // across several services, re-raising its own signal between them.
 const pollReadPass = 2 * readChunk
 
-// pollRead services a readability edge on the event goroutine: it drains
+// pollRead services a readability edge on the loop's executor: it drains
 // the socket into pooled buffers until EAGAIN, a short read, the receive
 // budget, or the per-pass bound, then fires OnReadable once for the
 // batch.
@@ -244,7 +244,7 @@ func (c *Conn) pollWritable() {
 // drains it with non-blocking vectored writes until done or EAGAIN. It
 // mirrors writeBatch's bookkeeping (same queue, same buffer-release
 // discipline, same OnWritable and flush-point detection) with parking in
-// place of deadlines. Runs only on the event goroutine.
+// place of deadlines. Runs only on the loop's executor.
 func (c *Conn) pollWriteBatch() {
 	c.wmu.Lock()
 	if c.werr != nil {
@@ -405,7 +405,7 @@ func (c *Conn) pollAbortWrites() {
 }
 
 // pollTeardown is the last fd-touching step of a poll-mode connection,
-// run on the event goroutine (or inline once the loop is gone): it
+// run on the loop's executor (or inline once the loop is gone): it
 // unregisters the fd, fails anything still queued, and releases both of
 // Close's waits. After it returns no code path issues a syscall on the
 // fd, so the caller may close the socket without racing a reused

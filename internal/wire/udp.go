@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -60,7 +61,9 @@ func (cfg UDPConfig) defaults() UDPConfig {
 //
 // The reader pulls up to udpBatch datagrams per syscall (recvmmsg with a
 // source address per slot on Linux, ReadFromUDPAddrPort elsewhere) and
-// posts each batch into the loop as one hand-off. Sends queue as
+// hands each batch to the loop as one hand-off: on an idle loop it runs
+// the delivery itself (rt.Lane.TryRun), on a busy one it queues a copy
+// of the batch on the socket's lane. Sends queue as
 // (buffer, destination) pairs during a stretch of loop work and flush
 // once per loop turn (sendmmsg on Linux, one send per datagram elsewhere).
 type udpSock struct {
@@ -75,6 +78,7 @@ type udpSock struct {
 	pendQ      []udpMsg
 	sendQ      []udpMsg
 	flushArmed bool
+	flushFn    func() // s.flush, bound once so arming it allocates nothing
 
 	// Reader-owned receive slots of udp.MaxDatagram bytes each, set up by
 	// the platform's initIO, plus the lengths and sources the receive
@@ -85,7 +89,8 @@ type udpSock struct {
 	rbufs  [udpBatch]*buf.Buffer
 	rlen   [udpBatch]int
 	rfrom  [udpBatch]netip.AddrPort
-	mm     mmsgState // platform-specific batching state
+	rmsgs  [udpBatch]udpMsg // the batch being handed off
+	mm     mmsgState        // platform-specific batching state
 
 	readerDone chan struct{}
 	closeOnce  sync.Once
@@ -111,6 +116,7 @@ func (s *udpSock) open(nc *net.UDPConn, cfg UDPConfig, deliver func(*buf.Buffer,
 	}
 	s.nc, s.io, s.deliver = nc, nextIO(), deliver
 	s.readerDone = make(chan struct{})
+	s.flushFn = s.flush
 	s.initIO()
 	s.loop = rt.NewLoop()
 	s.lane = s.loop.NewLane()
@@ -134,15 +140,21 @@ func (s *udpSock) Post(fn func()) bool { return s.lane.Post(fn) }
 
 // Close flushes what is queued, shuts the socket, and stops the loop, in
 // that order: queued sends (a listener's abort RSTs) leave while the
-// socket is open; the reader exits on the closed socket; Loop.Close runs
-// every hand-off already accepted; and once the event goroutine is gone,
-// whatever that final work queued returns to the pool.
+// socket is open; Loop.Close runs every hand-off already accepted (the
+// reader drops what it reads later); the reader exits on the closed
+// socket; and once the loop and the reader are gone, whatever that final
+// work queued returns to the pool. Called from a callback — which may be
+// running on the reader goroutine itself, as an inline hand-off — Close
+// does not wait for the reader.
 func (s *udpSock) Close() {
 	s.closeOnce.Do(func() {
 		s.loop.Do(s.flush)
 		s.nc.Close()
-		<-s.readerDone
 		s.loop.Close()
+		// After Close, Do runs fn only for the loop's own executor.
+		if !s.loop.Do(func() {}) {
+			<-s.readerDone
+		}
 		for _, m := range append(s.sendQ, s.pendQ...) {
 			m.b.Release()
 		}
@@ -196,7 +208,7 @@ func (s *udpSock) readLoop() {
 		if n == 0 {
 			continue
 		}
-		batch := make([]udpMsg, n)
+		batch := s.rmsgs[:n]
 		large = false
 		for i := range batch {
 			nlen := s.rlen[i]
@@ -220,12 +232,18 @@ func (s *udpSock) readLoop() {
 		if !large {
 			s.dropArenas()
 		}
-		if !s.lane.Post(func() { s.input(batch) }) {
-			for _, m := range batch {
-				m.b.Release()
+		// An idle loop takes the batch on this goroutine; a busy one gets
+		// a copy queued behind its work.
+		if !s.lane.TryRun(func() { s.input(batch) }) {
+			q := slices.Clone(batch)
+			if !s.lane.Post(func() { s.input(q) }) {
+				for _, m := range q {
+					m.b.Release()
+				}
+				return
 			}
-			return
 		}
+		clear(batch)
 	}
 }
 
@@ -267,7 +285,7 @@ func (s *udpSock) send(b *buf.Buffer, to netip.AddrPort) {
 	s.sendQ = append(s.sendQ, udpMsg{b, to})
 	if !s.flushArmed {
 		s.flushArmed = true
-		s.loop.Post(s.flush)
+		s.loop.Post(s.flushFn)
 	}
 }
 
@@ -312,7 +330,7 @@ func (s *udpSock) flush() {
 // UDPConn is the trivial Minion shim (internal/udp) bound to a real
 // net.UDPConn instead of an emulated link: the deployable "UDP works
 // here" substrate (paper §3.2). Like Conn it owns an rt.Loop so the
-// shim's state is confined to one event goroutine; datagrams enter and
+// shim's state is confined to the loop's executor; datagrams enter and
 // leave in pooled buffers through the batched socket core.
 type UDPConn struct {
 	udpSock

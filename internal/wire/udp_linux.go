@@ -56,6 +56,14 @@ type mmsgState struct {
 	shdrs  [udpBatch]mmsghdr
 	siov   [udpBatch]syscall.Iovec
 	snames [udpBatch]syscall.RawSockaddrInet6
+
+	// The RawConn callbacks, built once in initIO so a syscall allocates
+	// no closure, with their argument (vector width) and results. The
+	// receive trio is reader-owned, the send trio loop-confined.
+	rfn, sfn       func(fd uintptr) bool
+	rwidth, swidth int
+	rn, sn         int
+	rerr, serr     syscall.Errno
 }
 
 // initIO maps the receive slots, wires the raw descriptor and learns
@@ -73,6 +81,26 @@ func (s *udpSock) initIO() {
 		s.rslots[i] = ring[i*udp.MaxDatagram : (i+1)*udp.MaxDatagram]
 	}
 	m.rc, _ = s.nc.SyscallConn() // errors only for a nil *net.UDPConn
+	m.rfn = func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysRECVMMSG, fd,
+			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(m.rwidth),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // park in the netpoller until readable
+		}
+		m.rn, m.rerr = int(r1), e
+		return true
+	}
+	m.sfn = func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&m.shdrs[0])), uintptr(m.swidth),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // wait for writability, then resume
+		}
+		m.sn, m.serr = int(r1), e
+		return true
+	}
 	m.connected = s.nc.RemoteAddr() != nil
 	m.family = syscall.AF_INET6
 	m.rc.Control(func(fd uintptr) {
@@ -108,23 +136,14 @@ func (s *udpSock) recv(width int) (int, error) {
 			m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
 		}
 	}
-	var n int
-	var errno syscall.Errno
-	if err := m.rc.Read(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(width),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park in the netpoller until readable
-		}
-		n, errno = int(r1), e
-		return true
-	}); err != nil {
+	m.rwidth = width
+	if err := m.rc.Read(m.rfn); err != nil {
 		return 0, net.ErrClosed // the descriptor is gone
 	}
-	if errno != 0 {
-		return 0, errno
+	if m.rerr != 0 {
+		return 0, m.rerr
 	}
+	n := m.rn
 	for i := 0; i < n; i++ {
 		s.rlen[i] = int(m.rhdrs[i].nlen)
 		if !m.connected {
@@ -158,24 +177,14 @@ func (s *udpSock) sendBatch(q []udpMsg) (int, error) {
 			}
 		}
 	}
-	var n int
-	var errno syscall.Errno
-	if err := m.rc.Write(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-			uintptr(unsafe.Pointer(&m.shdrs[0])), uintptr(k),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // wait for writability, then resume
-		}
-		n, errno = int(r1), e
-		return true
-	}); err != nil {
+	m.swidth = k
+	if err := m.rc.Write(m.sfn); err != nil {
 		return 0, net.ErrClosed
 	}
-	if errno != 0 {
-		return 0, errno
+	if m.serr != 0 {
+		return 0, m.serr
 	}
-	return n, nil
+	return m.sn, nil
 }
 
 // zoneCache remembers the last interface a zone resolved to, so a flow

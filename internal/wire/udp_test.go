@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"net"
 	"net/netip"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -145,5 +149,135 @@ func TestUDPLargeDatagramIntegrity(t *testing.T) {
 		check(size)
 	}
 	pc.Close()
+	waitBufBalance(t, before)
+}
+
+// testGoid returns the calling goroutine's id, parsed from the stack
+// header ("goroutine N [running]:").
+func testGoid() int64 {
+	var b [32]byte
+	s := strings.TrimPrefix(string(b[:runtime.Stack(b[:], false)]), "goroutine ")
+	id, _ := strconv.ParseInt(s[:strings.IndexByte(s, ' ')], 10, 64)
+	return id
+}
+
+// TestUDPHandOffInlineWhenIdle: on an idle loop the reader delivers a
+// received batch itself, with no event-goroutine wake-up; on a busy loop
+// the batch queues behind the work in hand and the event goroutine
+// delivers it afterwards.
+func TestUDPHandOffInlineWhenIdle(t *testing.T) {
+	lo := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
+	rx, err := net.ListenUDP("udp4", lo)
+	if err != nil {
+		t.Fatalf("ListenUDP: %v", err)
+	}
+	tx, err := net.ListenUDP("udp4", lo)
+	if err != nil {
+		t.Fatalf("ListenUDP: %v", err)
+	}
+	defer tx.Close()
+	before := buf.Stats()
+	pc := NewUDPPacketConn(rx, UDPConfig{})
+	type delivery struct {
+		gid       int64
+		afterBusy bool
+	}
+	got := make(chan delivery, 16)
+	busyDone := false // loop-confined
+	pc.OnPacket(func(b *buf.Buffer, _ netip.AddrPort) {
+		b.Release()
+		got <- delivery{testGoid(), busyDone}
+	})
+	evCh := make(chan int64, 1)
+	pc.Post(func() { evCh <- testGoid() }) // Post never runs on the caller
+	ev := <-evCh
+	to := rx.LocalAddr().(*net.UDPAddr).AddrPort()
+	send := func() {
+		t.Helper()
+		if _, err := tx.WriteToUDPAddrPort([]byte("x"), to); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	recv := func() delivery {
+		t.Helper()
+		select {
+		case d := <-got:
+			return d
+		case <-time.After(5 * time.Second):
+			t.Fatal("datagram lost")
+			return delivery{}
+		}
+	}
+
+	// Idle: delivered on the reader goroutine. A loaded host may leave
+	// the event goroutine unparked for a moment, so allow a few tries.
+	inline := false
+	for try := 0; try < 5 && !inline; try++ {
+		time.Sleep(20 * time.Millisecond)
+		send()
+		d := recv()
+		if d.gid == testGoid() {
+			t.Fatal("datagram delivered on the test goroutine")
+		}
+		inline = d.gid != ev
+	}
+	if !inline {
+		t.Fatal("datagram on an idle loop never delivered on the reader goroutine")
+	}
+
+	// Busy: queued behind the callback holding the loop.
+	entered, release := make(chan struct{}), make(chan struct{})
+	pc.Post(func() { close(entered); <-release; busyDone = true })
+	<-entered
+	send()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-got:
+		t.Fatal("datagram delivered while another callback held the loop")
+	default:
+	}
+	close(release)
+	if d := recv(); d.gid != ev || !d.afterBusy {
+		t.Fatalf("busy loop: delivered on goroutine %d (event goroutine %d), after the busy callback: %v", d.gid, ev, d.afterBusy)
+	}
+	pc.Close()
+	waitBufBalance(t, before)
+}
+
+// TestUDPCloseFromDelivery: a delivery callback may close its own socket.
+// On an idle loop the delivery runs on the reader goroutine, so Close
+// must not wait there for the reader to exit.
+func TestUDPCloseFromDelivery(t *testing.T) {
+	lo := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
+	rx, err := net.ListenUDP("udp4", lo)
+	if err != nil {
+		t.Fatalf("ListenUDP: %v", err)
+	}
+	tx, err := net.ListenUDP("udp4", lo)
+	if err != nil {
+		t.Fatalf("ListenUDP: %v", err)
+	}
+	defer tx.Close()
+	before := buf.Stats()
+	pc := NewUDPPacketConn(rx, UDPConfig{})
+	closed := make(chan struct{})
+	var once sync.Once
+	pc.OnPacket(func(b *buf.Buffer, _ netip.AddrPort) {
+		b.Release()
+		once.Do(func() {
+			pc.Close()
+			close(closed)
+		})
+	})
+	time.Sleep(20 * time.Millisecond) // let the loop go idle
+	if _, err := tx.WriteToUDPAddrPort([]byte("x"), rx.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close from a delivery callback deadlocked")
+	}
+	pc.Close() // idempotent
 	waitBufBalance(t, before)
 }
