@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -39,15 +38,14 @@ import (
 //   - per-class end-to-end latency distributions stay bounded (p99, not
 //     means — the paper's own framing for tail latency);
 //   - no tenant's VoIP traffic was starved by another tenant's flood;
-//   - VoIP was never shed while bulk traffic was (the class order).
+//   - VoIP was never shed while bulk traffic was (the class order), and
+//     shedding stays a bounded share of the offered datagrams.
 //
-// Results land in BENCH_relay.json for benchdiff's trend gates
-// (shed_count growth, p99 regressions).
+// The run's summary is printed to stdout as JSON.
 func runRelaySoak(args []string) error {
 	fs := flag.NewFlagSet("relaysoak", flag.ExitOnError)
 	short := fs.Bool("short", false, "~60s CI soak instead of the full multi-minute run")
 	dur := fs.Duration("dur", 3*time.Minute, "soak duration (overridden by -short)")
-	benchDir := fs.String("benchdir", "bench-out", "output directory for BENCH_relay.json")
 	tenants := fs.Int("tenants", 3, "tenant count (one VoIP+web+bulk room set each)")
 	flows := fs.Int("flows", 4, "flows per room")
 	loss := fs.Float64("loss", 0.3, "middlebox stall probability per forwarded chunk")
@@ -215,15 +213,18 @@ func runRelaySoak(args []string) error {
 	ios := wire.ReadIOStats()
 	mbs := mb.Stats()
 
-	// Latency distributions (ms). VoIP must stay bounded even under the
-	// storms — the generous absolute ceiling catches priority inversion
-	// and nothing subtler; benchdiff's trend gate catches creep.
+	// Latency distributions (ms). Every class must deliver and stay
+	// bounded even under the storms. VoIP's ceiling catches priority
+	// inversion; the web and bulk ceilings sit about twice past their
+	// worst -short reading, so only a relay whose queues stopped
+	// draining trips them.
 	q := func(c relay.Class, p float64) float64 { return h.lat[c].quantile(p) }
-	voipP99 := q(relay.ClassVoIP, 0.99)
-	if n := h.lat[relay.ClassVoIP].count(); n == 0 {
-		fail("no VoIP datagrams delivered at all")
-	} else if voipP99 > 2000 {
-		fail("VoIP p99 latency %.1fms (ceiling 2000ms)", voipP99)
+	for c := relay.ClassVoIP; c < relayClasses; c++ {
+		if h.lat[c].count() == 0 {
+			fail("no %v datagrams delivered at all", c)
+		} else if p99 := q(c, 0.99); p99 > soakP99Ceiling[c] {
+			fail("%v p99 latency %.1fms (ceiling %.0fms)", c, p99, soakP99Ceiling[c])
+		}
 	}
 
 	// Cross-tenant starvation: every tenant's VoIP must have moved, and
@@ -255,6 +256,13 @@ func runRelaySoak(args []string) error {
 	if v := st.Shed[relay.ClassVoIP]; v > 0 && float64(v) > 0.01*float64(st.Relayed[relay.ClassVoIP])+10 {
 		fail("VoIP shed %d times against %d deliveries", v, st.Relayed[relay.ClassVoIP])
 	}
+	// Shedding volume: a relay that sheds a much larger share of what it
+	// is offered at the same load lost forwarding capacity.
+	offered := shedTotal + st.Relayed[relay.ClassVoIP] + st.Relayed[relay.ClassWeb] + st.Relayed[relay.ClassBulk]
+	shedShare := float64(shedTotal) / float64(max(offered, 1))
+	if shedShare > soakMaxShedShare {
+		fail("shed %.1f%% of %d offered datagrams (ceiling %.0f%%)", 100*shedShare, offered, 100*soakMaxShedShare)
+	}
 
 	rec := map[string]any{
 		"experiment":         "relaysoak",
@@ -273,8 +281,9 @@ func runRelaySoak(args []string) error {
 		"shed_web":           st.Shed[relay.ClassWeb],
 		"shed_bulk":          st.Shed[relay.ClassBulk],
 		"shed_count":         shedTotal,
+		"shed_share":         shedShare,
 		"voip_p50_ms":        q(relay.ClassVoIP, 0.50),
-		"voip_p99_ms":        voipP99,
+		"voip_p99_ms":        q(relay.ClassVoIP, 0.99),
 		"web_p99_ms":         q(relay.ClassWeb, 0.99),
 		"bulk_p99_ms":        q(relay.ClassBulk, 0.99),
 		"accept_pauses":      ios.AcceptPauses,
@@ -289,15 +298,8 @@ func runRelaySoak(args []string) error {
 	if mbs.Violations > 0 {
 		fail("middlebox flagged %d uTLS records as invalid", mbs.Violations)
 	}
-	if err := os.MkdirAll(*benchDir, 0o755); err != nil {
-		return err
-	}
 	data, _ := json.MarshalIndent(rec, "", "  ")
-	path := filepath.Join(*benchDir, "BENCH_relay.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("relaysoak: %s\n%s\n", path, data)
+	fmt.Printf("relaysoak:\n%s\n", data)
 	if failures > 0 {
 		return fmt.Errorf("%d soak assertion(s) failed", failures)
 	}
@@ -305,6 +307,21 @@ func runRelaySoak(args []string) error {
 }
 
 const relayClasses = relay.ClassBulk + 1
+
+// soakP99Ceiling bounds each class's p99 delivery latency (ms), and
+// soakMaxShedShare the shed share of offered datagrams. The web and bulk
+// ceilings and the shed share come from nine -short runs on a 2-vCPU
+// host, six under the race detector: web p99 read 1.5–6.9 s with it
+// and ~33 ms without, bulk p99 1.8–25 s and ~1 s, and the shed share
+// 2.5–4.8% and ~17% (the faster build offers over three times the
+// datagrams into the same budgets).
+var soakP99Ceiling = [relayClasses]float64{
+	relay.ClassVoIP: 2000,
+	relay.ClassWeb:  15000,
+	relay.ClassBulk: 45000,
+}
+
+const soakMaxShedShare = 0.30
 
 func tenantName(i int) string { return fmt.Sprintf("tenant%d", i) }
 

@@ -4,41 +4,29 @@ import (
 	"sync/atomic"
 )
 
-// IOStats is a process-wide snapshot of socket-boundary activity, the
-// denominator-free side of the "syscalls per datagram" metric the
-// connscale benchmark reports. Counters are cumulative since process
-// start; subtract two snapshots to meter an interval.
+// IOStats is a process-wide snapshot of socket-boundary activity: the
+// numerators of the repository benchmark's per-datagram syscall and
+// wake-up rows (perfbench's wire.* metrics) and of the accept-path
+// robustness counters. Counters are cumulative since process start;
+// subtract two snapshots to meter an interval.
 //
 // TCPWriteCalls counts vectored write operations (writev batches) issued
 // to kernel sockets: each is at least one write syscall, and exactly one
 // except when the kernel takes a batch in several partial writes (in poll
 // mode every writev is counted individually, so there the value is
-// exact). TCPWriteBufs counts the application buffers those batches
-// carried, so TCPWriteCalls/TCPWriteBufs is the coalescing ratio the
-// writev path achieves. TCPReadCalls counts socket reads from both the
-// blocking reader goroutines and the poll-mode non-blocking drain
-// (including the EAGAIN probe that ends each drain); TCPReadBytes is the
-// payload those reads returned, so TCPReadBytes/TCPReadCalls is the
-// read-side batching ratio.
-//
-// PollWakeups counts epoll_wait returns with at least one event — the
-// scheduler-visible cost of poll mode — and PollEvents the readiness
-// edges those wakeups carried; PollEvents/PollWakeups is the dispatch
-// batching ratio at the poller.
+// exact). TCPReadCalls counts socket reads from both the blocking reader
+// goroutines and the poll-mode non-blocking drain (including the EAGAIN
+// probe that ends each drain). PollWakeups counts epoll_wait returns with
+// at least one event — the scheduler-visible cost of poll mode.
 type IOStats struct {
 	TCPWriteCalls uint64 // vectored writes issued (≥1 syscall each)
-	TCPWriteBufs  uint64 // pooled buffers carried by those writes
 	TCPWriteBytes uint64
 	TCPReadCalls  uint64 // socket read syscalls (reader goroutines + poll drains)
-	TCPReadBytes  uint64 // bytes those reads returned
 
 	PollWakeups uint64 // epoll_wait returns carrying ≥1 event
-	PollEvents  uint64 // readiness edges dispatched to connections
 
-	UDPSendCalls     uint64 // send syscalls (sendmmsg counts once per call)
-	UDPSendDatagrams uint64
-	UDPRecvCalls     uint64 // receive syscalls (recvmmsg counts once per call)
-	UDPRecvDatagrams uint64
+	UDPSendCalls uint64 // send syscalls (sendmmsg counts once per call)
+	UDPRecvCalls uint64 // receive syscalls (recvmmsg counts once per call)
 
 	// AcceptErrors counts accept calls that failed for a reason other
 	// than fd exhaustion or benign churn (ECONNABORTED is counted here
@@ -67,18 +55,16 @@ type IOStats struct {
 // scaling ceiling on multi-loop sweeps). Counters are therefore sharded:
 // each connection, UDP socket, and poller holds a pointer to one shard,
 // assigned round-robin at construction, and ReadIOStats sums the shards.
-// The trailing pad rounds the struct past two 64-byte cache lines so
-// adjacent shards in the backing array never share a line (15 × 8 = 120
-// bytes of counters + 8 pad = 128).
+// The trailing pad rounds the struct up to two 64-byte cache lines so
+// adjacent shards in the backing array never share a line (10 × 8 = 80
+// bytes of counters + 48 pad = 128).
 type ioCounters struct {
-	tcpWriteCalls, tcpWriteBufs, tcpWriteBytes atomic.Uint64
-	tcpReadCalls, tcpReadBytes                 atomic.Uint64
-	pollWakeups, pollEvents                    atomic.Uint64
-	udpSendCalls, udpSendDatagrams             atomic.Uint64
-	udpRecvCalls, udpRecvDatagrams             atomic.Uint64
+	tcpWriteCalls, tcpWriteBytes, tcpReadCalls atomic.Uint64
+	pollWakeups                                atomic.Uint64
+	udpSendCalls, udpRecvCalls                 atomic.Uint64
 	acceptErrors, acceptBackoffs               atomic.Uint64
 	acceptPauses, acceptResumes                atomic.Uint64
-	_                                          [8]byte
+	_                                          [48]byte
 }
 
 // ioShards is sized to comfortably exceed any realistic loop count while
@@ -107,16 +93,11 @@ func ReadIOStats() IOStats {
 	for i := range iostatShards {
 		c := &iostatShards[i]
 		s.TCPWriteCalls += c.tcpWriteCalls.Load()
-		s.TCPWriteBufs += c.tcpWriteBufs.Load()
 		s.TCPWriteBytes += c.tcpWriteBytes.Load()
 		s.TCPReadCalls += c.tcpReadCalls.Load()
-		s.TCPReadBytes += c.tcpReadBytes.Load()
 		s.PollWakeups += c.pollWakeups.Load()
-		s.PollEvents += c.pollEvents.Load()
 		s.UDPSendCalls += c.udpSendCalls.Load()
-		s.UDPSendDatagrams += c.udpSendDatagrams.Load()
 		s.UDPRecvCalls += c.udpRecvCalls.Load()
-		s.UDPRecvDatagrams += c.udpRecvDatagrams.Load()
 		s.AcceptErrors += c.acceptErrors.Load()
 		s.AcceptBackoffs += c.acceptBackoffs.Load()
 		s.AcceptPauses += c.acceptPauses.Load()

@@ -161,7 +161,6 @@ func (c *Conn) pollRead() {
 		}
 		if n > 0 {
 			c.noteRead()
-			c.io.tcpReadBytes.Add(uint64(n))
 			chunk := b.RightSize(n)
 			c.recvQ = append(c.recvQ, chunk)
 			c.govCharge(n)
@@ -375,7 +374,6 @@ func (c *Conn) consumePend(n int) {
 	if consumed == 0 {
 		return
 	}
-	c.io.tcpWriteBufs.Add(uint64(consumed))
 	for i := 0; i < consumed; i++ {
 		c.pendOwned[i].Release()
 	}

@@ -197,7 +197,6 @@ func (p *poller) Park(d time.Duration) {
 	}
 	if dispatched > 0 {
 		p.io.pollWakeups.Add(1)
-		p.io.pollEvents.Add(uint64(dispatched))
 	}
 	if woken {
 		var drain [16]byte

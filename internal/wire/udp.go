@@ -204,7 +204,6 @@ func (s *udpSock) readLoop() {
 			continue
 		}
 		s.io.udpRecvCalls.Add(1)
-		s.io.udpRecvDatagrams.Add(uint64(n))
 		if n == 0 {
 			continue
 		}
@@ -316,7 +315,6 @@ func (s *udpSock) flush() {
 			n = 1 // per-datagram failure: drop it, keep the rest
 		default:
 			s.io.udpSendCalls.Add(1)
-			s.io.udpSendDatagrams.Add(uint64(n))
 		}
 		rest = rest[n:]
 	}

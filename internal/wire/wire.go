@@ -655,7 +655,6 @@ func (c *Conn) readLoop() {
 		c.io.tcpReadCalls.Add(1)
 		if n > 0 {
 			c.noteRead()
-			c.io.tcpReadBytes.Add(uint64(n))
 			// RightSize keeps the flow-control budget honest: short reads
 			// are copied into a right-sized arena instead of pinning the
 			// whole read buffer for n accounted bytes.

@@ -82,7 +82,6 @@ func (c *Conn) writeBatch() (idle bool) {
 	n, err := c.pend.WriteTo(c.nc)
 	consumed := pre - len(c.pend)
 	c.io.tcpWriteCalls.Add(uint64(1 + (pre-1)/writevMaxIOV))
-	c.io.tcpWriteBufs.Add(uint64(consumed))
 	c.io.tcpWriteBytes.Add(uint64(n))
 	for i := 0; i < consumed; i++ {
 		c.pendOwned[i].Release()
