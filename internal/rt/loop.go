@@ -36,8 +36,10 @@ import (
 //     will not be parked before it next re-checks work (e.g. the call
 //     arrives from inside Park's own dispatch phase).
 //   - Park's timeout may be honored at a coarser granularity than the
-//     Loop's clock (epoll_wait is millisecond-grained); timers then fire
-//     up to one granule late, never early.
+//     Loop's clock; timers then fire up to one granule late, never early.
+//     The Linux poller's deadline is a Go timer, which the runtime fires
+//     from a millisecond-grained epoll_wait, unlike an unpolled loop's
+//     timer file.
 type Parker interface {
 	Park(d time.Duration)
 	Wake()
@@ -122,7 +124,15 @@ type Loop struct {
 	// of the token, so no wakeup is ever needed — or sent — while it runs.
 	sleeping bool
 	sleepAt  time.Duration // deadline the sleep is aimed at; noDeadline = none
-	sleep    *time.Timer   // the sleep without a Parker; aimed under mu
+	sleep    *time.Timer   // the sleep without a Parker or a timer file; aimed under mu
+
+	// tf is the Linux sleep without a Parker, opened the first time a
+	// deadline is pending: from then on the event goroutine always parks
+	// on it, so a re-aim never has to wake it. A loop that never
+	// schedules a timer parks on the wake channel and opens no file.
+	// Written under mu; tfFailed stops retrying after the kernel refused.
+	tf       atomic.Pointer[timerFile]
+	tfFailed bool
 
 	// Token-holder scratch: the timer batch being fired, and the lane
 	// batch being run with its lane, kept so a release after a recovered
@@ -258,10 +268,7 @@ func (l *Loop) Close() {
 // not supported.
 func (l *Loop) SetParker(p Parker) {
 	l.parker.Store(&parkerBox{p})
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+	l.wakeSleeper()
 }
 
 func (l *Loop) poke() {
@@ -269,6 +276,20 @@ func (l *Loop) poke() {
 		pb.p.Wake()
 		return
 	}
+	l.wakeSleeper()
+}
+
+// wakeSleeper wakes an event goroutine parked without a Parker: on the
+// timer file once the loop has one, else on the wake channel.
+func (l *Loop) wakeSleeper() {
+	if tf := l.tf.Load(); tf != nil {
+		tf.interrupt()
+		return
+	}
+	l.wakeChannel()
+}
+
+func (l *Loop) wakeChannel() {
 	select {
 	case l.wake <- struct{}{}:
 	default:
@@ -429,18 +450,38 @@ func (l *Loop) reaim() bool {
 		return at < l.sleepAt // a later deadline just wakes it early
 	}
 	l.sleepAt = at
-	l.aimSleep(at, now)
+	if l.aimSleep(at, now) {
+		// The first deadline opened the timer file; the event goroutine
+		// is still on the channel, and re-parks on the file.
+		l.wakeChannel()
+	}
 	return false
 }
 
-// aimSleep arms the sleep timer for deadline at, or stops it for
-// noDeadline. mu held.
-func (l *Loop) aimSleep(at, now time.Duration) {
-	if at == noDeadline {
+// aimSleep arms the sleep for deadline at, or disarms it for noDeadline.
+// On Linux the first deadline opens the loop's timer file, and aimSleep
+// reports that it did: an event goroutine parked on the wake channel must
+// then be poked there, to re-park on the file. A closed loop's timer file
+// may be closed, so it is left alone. mu held.
+func (l *Loop) aimSleep(at, now time.Duration) (opened bool) {
+	if l.closed {
+		return false
+	}
+	tf := l.tf.Load()
+	if tf == nil && at != noDeadline && !l.tfFailed {
+		tf = openTimerFile()
+		l.tf.Store(tf)
+		l.tfFailed, opened = tf == nil, tf != nil
+	}
+	switch {
+	case tf != nil:
+		tf.set(at, now)
+	case at == noDeadline:
 		l.sleep.Stop()
-	} else {
+	default:
 		l.sleep.Reset(at - now)
 	}
+	return opened
 }
 
 // unlink removes t from the wheel, marking earliest stale if it may have
@@ -561,6 +602,9 @@ func (l *Loop) run(ready chan<- struct{}) {
 			if l.closed {
 				l.busy = false
 				l.owner.Store(0)
+				if tf := l.tf.Load(); tf != nil {
+					tf.close()
+				}
 				l.mu.Unlock()
 				return // every lane batch accepted before Close has run
 			}
@@ -587,10 +631,13 @@ func (l *Loop) run(ready chan<- struct{}) {
 // 0: no deadline) — inside the Parker when one is installed: the poller
 // (epoll_wait) delivers readiness events, lane posts through Signals,
 // before returning, and the next iteration services them alongside
-// timers.
+// timers. Without one it waits on the timer file once the loop has one,
+// and on the wake channel and Go timer before that.
 func (l *Loop) park(wait time.Duration) {
 	if pb := l.parker.Load(); pb != nil {
 		pb.p.Park(wait)
+	} else if tf := l.tf.Load(); tf != nil {
+		tf.wait()
 	} else {
 		select {
 		case <-l.wake:

@@ -154,6 +154,11 @@ type Stats struct {
 	RACKLosses      int
 	RACKLostRetrans int
 	TLPs            int
+	// DupSegsReceived counts, in either mode, received data segments that
+	// carry only bytes already received or SACKed: the receiver's view of
+	// spurious retransmissions, a probe that raced the ACK of what it
+	// re-sent among them.
+	DupSegsReceived int
 }
 
 // UnorderedData is one uTCP delivery: the equivalent of the 5-byte metadata

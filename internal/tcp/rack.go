@@ -31,7 +31,7 @@ import "time"
 // slot on that ACK (stopRTO) and schedules it again on its next send: one
 // schedule and one cancel per segment instead of an idle firing.
 //
-// The probe timeout is max(2·SRTT, 1 ms). RFC 8985 adds a worst-case
+// The probe timeout is max(2·SRTT, 300 µs). RFC 8985 adds a worst-case
 // delayed-ACK time (WCDelAckT) when one segment is in flight; it is left
 // out because a uTCP receiver ACKs every segment (Config.DelayedAck is
 // not reachable through minion's API). A receiver that delays ACKs needs
@@ -39,12 +39,18 @@ import "time"
 
 // tlpMinPTO floors the probe timeout at the wall-clock runtime's timer
 // granularity (RFC 9002's kGranularity): a shorter deadline only fires
-// late, or early when another event wakes the runtime. On a sub-
-// millisecond path the floor, not 2·SRTT, sets the probe timeout, so a
-// stream sending every few milliseconds probes a lost datagram before
-// its next send reveals the loss. With no floor, scheduling jitter
+// late, or early when another event wakes the runtime. The 300 µs floor
+// assumes the Linux timerfd that an unpolled rt.Loop sleeps on, which
+// fires tens of microseconds late at p50; uTCP runs on such loops. A loop
+// that keeps a Go timer (other platforms, a poller's Park, a Linux kernel
+// that refused the timerfd) fires from the runtime's millisecond-grained
+// poll wait, so there the probe goes out up to about a millisecond late,
+// near where the old 1 ms floor put it; nothing measures those loops. On
+// a sub-millisecond path the floor, not 2·SRTT, sets the probe timeout,
+// so a stream sending every few milliseconds probes a lost datagram well
+// before its next send reveals the loss. With no floor, scheduling jitter
 // produces spurious probes.
-const tlpMinPTO = time.Millisecond
+const tlpMinPTO = 300 * time.Microsecond
 
 // rackState is the sender's RACK-TLP state. Deadlines are in runtime time
 // and zero when not armed.

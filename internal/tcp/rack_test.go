@@ -184,7 +184,7 @@ func TestRACKTailLossProbe(t *testing.T) {
 
 // TestRACKSubMillisecondProbe runs the conferencing shape on a 0.1 ms
 // path, where 2·SRTT is far below the floor. The lost message must be
-// probed at the 1 ms floor, before the next send 2 ms later would reveal
+// probed at the tlpMinPTO floor, before the next send 2 ms later would reveal
 // the loss, and the probe must be the only one: the floor keeps the
 // runtime's timer granularity from triggering spurious probes.
 func TestRACKSubMillisecondProbe(t *testing.T) {
@@ -200,7 +200,7 @@ func TestRACKSubMillisecondProbe(t *testing.T) {
 	if st.Timeouts != 0 || st.TLPs != 1 {
 		t.Errorf("RACK: %d RTOs and %d probes, want 0 and 1", st.Timeouts, st.TLPs)
 	}
-	if bound := time.Millisecond + 4*ts.oneWay; lat[k] > bound {
+	if bound := tlpMinPTO + 4*ts.oneWay; lat[k] > bound {
 		t.Errorf("message %d took %v, want <= %v", k, lat[k], bound)
 	}
 }
@@ -298,5 +298,44 @@ func TestOnReadableAfterData(t *testing.T) {
 	s.Run()
 	if fired != 1 {
 		t.Errorf("callback fired %d times after the peer's FIN, want 1", fired)
+	}
+}
+
+// TestDupSegsReceived: the receiver counts every data segment that brings
+// no new byte, whether its bytes were already cumulatively acknowledged
+// or only SACKed. The path delivers every segment twice and loses one
+// message's first transmission, so the segments sent after it arrive out
+// of order until the repair. Every transmission that arrives brings new
+// bytes and its copy brings none: one duplicate per arriving transmission.
+func TestDupSegsReceived(t *testing.T) {
+	s := sim.New(1)
+	link := netem.LinkConfig{Delay: time.Millisecond, DuplicateProb: 1}
+	fwd := &dropPath{Element: netem.NewLink(s, link), sends: map[uint64]int{}}
+	back := netem.NewLink(s, netem.LinkConfig{Delay: time.Millisecond})
+	a, b := NewPair(s, Config{NoDelay: true, RACK: true}, Config{}, fwd, back)
+	s.RunUntil(time.Second)
+	if a.State() != StateEstablished {
+		t.Fatalf("not established: %v", a.State())
+	}
+	const msgs, lost = 20, 5
+	fwd.drops = map[uint64][]int{a.iss + 1 + lost*thinMsgLen: {0}}
+	for i := 0; i < msgs; i++ {
+		s.Schedule(time.Duration(i)*time.Millisecond, func() {
+			if _, err := a.Write(make([]byte, thinMsgLen)); err != nil {
+				t.Errorf("Write: %v", err)
+			}
+		})
+	}
+	s.RunUntil(10 * time.Second)
+	sent, got := a.Stats(), b.Stats()
+	sends := 0
+	for _, n := range fwd.sends {
+		sends += n
+	}
+	if sent.SegsRetrans == 0 {
+		t.Fatal("the lost message was never retransmitted")
+	}
+	if want := sends - 1; got.DupSegsReceived != want {
+		t.Errorf("DupSegsReceived = %d, want %d (%d data transmissions, one lost)", got.DupSegsReceived, want, sends)
 	}
 }

@@ -96,6 +96,7 @@ func (c *Conn) processData(seg *Segment) {
 		end := seq + uint64(len(payload))
 		if end <= c.rcvNxt {
 			// Entirely duplicate data: immediate ACK.
+			c.stats.DupSegsReceived++
 			c.sendAck()
 			return
 		}
@@ -124,6 +125,9 @@ func (c *Conn) processData(seg *Segment) {
 			c.rcvNxt = end
 			advanced = true
 		} else {
+			if held, ok := c.asm.FragmentAt(max(seq, c.rcvNxt)); ok && held.End >= end {
+				c.stats.DupSegsReceived++ // already SACKed
+			}
 			ext := c.asm.Insert(seq, payload)
 			c.lastSACKFirst = ext
 
