@@ -12,17 +12,18 @@ import (
 // goroutine.
 
 // waitParked waits until the event goroutine is parked with no executor
-// running, no lane work pending and no poke in flight on the internal
-// channel (a Parker's pokes go elsewhere): the loop is idle. A poked
-// goroutine notes its wake-up only once it runs, so the state must also
-// hold still across a short sleep.
+// running, no lane work pending and no poke in flight: the loop is idle.
+// A poke is in flight from its send until the goroutine it woke has run
+// and re-parked (pokes runs ahead of parkedPokes until then), so a
+// goroutine that took its wake-up but has not run yet is not idle. The
+// short hold guards wake-ups from the sleep timer, which no poke counts.
 func waitParked(t *testing.T, l *Loop) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	idle := func() bool {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		poked := l.parker.Load() == nil && len(l.wake) > 0
+		poked := l.parker.Load() == nil && (len(l.wake) > 0 || l.pokes.Load() != l.parkedPokes)
 		return l.sleeping && !l.busy && len(l.runq) == 0 && !poked
 	}
 	for {

@@ -145,6 +145,12 @@ type Loop struct {
 	done    chan struct{}             // closed when the event goroutine exits
 	parker  atomic.Pointer[parkerBox] // optional external parking mechanism
 	wakeups atomic.Uint64             // returns from parking (a test hook)
+
+	// Test hooks: wake-ups sent to a sleeper without a Parker, and that
+	// count as the event goroutine last parked (mu). They differ from the
+	// moment a poke is sent until its goroutine has run and re-parked.
+	pokes       atomic.Uint64
+	parkedPokes uint64
 }
 
 // noDeadline is the deadline of "no timer pending".
@@ -283,6 +289,7 @@ func (l *Loop) poke() {
 // timer file once the loop has one, else on the wake channel.
 func (l *Loop) wakeSleeper() {
 	if tf := l.tf.Load(); tf != nil {
+		l.pokes.Add(1)
 		tf.interrupt()
 		return
 	}
@@ -290,6 +297,7 @@ func (l *Loop) wakeSleeper() {
 }
 
 func (l *Loop) wakeChannel() {
+	l.pokes.Add(1)
 	select {
 	case l.wake <- struct{}{}:
 	default:
@@ -587,6 +595,7 @@ func (l *Loop) run(ready chan<- struct{}) {
 		l.mu.Lock()
 		if l.busy {
 			l.sleeping, l.sleepAt = true, noDeadline
+			l.parkedPokes = l.pokes.Load()
 			l.aimSleep(noDeadline, 0)
 			l.mu.Unlock()
 			l.park(-1)
@@ -615,6 +624,7 @@ func (l *Loop) run(ready chan<- struct{}) {
 		l.busy = false
 		l.owner.Store(0)
 		l.sleeping, l.sleepAt = true, at
+		l.parkedPokes = l.pokes.Load()
 		wait := time.Duration(-1)
 		if at != noDeadline {
 			wait = at - now

@@ -65,13 +65,12 @@ func Encode(seg *tcp.Segment) *buf.Buffer {
 	p[1] = Version
 	p[2] = byte(seg.Flags)
 	p[3] = byte(len(seg.SACK))
-	w := seg.Window
-	if w < 0 {
-		w = 0
-	} else if w > math.MaxUint32 {
-		w = math.MaxUint32
+	// Clamp in uint64: an int cannot hold MaxUint32 on 32-bit platforms.
+	w := uint32(0)
+	if seg.Window > 0 {
+		w = uint32(min(uint64(seg.Window), math.MaxUint32))
 	}
-	binary.BigEndian.PutUint32(p[4:8], uint32(w))
+	binary.BigEndian.PutUint32(p[4:8], w)
 	binary.BigEndian.PutUint64(p[8:16], seg.Seq)
 	binary.BigEndian.PutUint64(p[16:24], seg.Ack)
 	off := HeaderLen
@@ -113,7 +112,7 @@ func Decode(pkt []byte, seg *tcp.Segment, sack *[tcp.MaxSACKBlocks]tcp.SACKBlock
 		return ErrTruncated
 	}
 	seg.Flags = fl
-	seg.Window = int(binary.BigEndian.Uint32(pkt[4:8]))
+	seg.Window = int(min(uint64(binary.BigEndian.Uint32(pkt[4:8])), math.MaxInt))
 	seg.Seq = binary.BigEndian.Uint64(pkt[8:16])
 	seg.Ack = binary.BigEndian.Uint64(pkt[16:24])
 	for i := 0; i < nsack; i++ {

@@ -148,41 +148,45 @@ func TestChaosEAGAINStormIntegrity(t *testing.T) {
 }
 
 func TestChaosPartialWriteIntegrity(t *testing.T) {
-	if !pollSupported {
-		t.Skip("partial-write injection is a poll-mode seam")
-	}
-	chaosCheck(t)
-	a, b := pollPair(t, Config{NoDelay: true})
-	// Cap every vectored write at 7 bytes: maximal fragmentation across
-	// buffer boundaries. The writev prefix-swap must preserve byte order
-	// and ownership exactly.
-	SetFaultHooks(&FaultHooks{Write: func(size int) (int, error) {
-		if size > 7 {
-			return 7, nil
-		}
-		return 0, nil
-	}})
-	msg := bytes.Repeat([]byte("partial-write-chaos-"), 512)
-	go a.Do(func() {
-		for off := 0; off < len(msg); {
-			n, err := a.Write(msg[off:])
-			if err == tcp.ErrWouldBlock {
-				continue
+	for _, mode := range []string{"dedicated", "shared", "poll"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "poll" && !pollSupported {
+				t.Skip("no poller")
 			}
-			if err != nil {
-				t.Errorf("Write under caps: %v", err)
-				return
+			chaosCheck(t)
+			a, b := lifecyclePair(t, mode, Config{NoDelay: true})
+			// Cap every vectored write at 7 bytes: maximal fragmentation
+			// across buffer boundaries. The staged prefix must preserve
+			// byte order and ownership exactly.
+			SetFaultHooks(&FaultHooks{Write: func(size int) (int, error) {
+				if size > 7 {
+					return 7, nil
+				}
+				return 0, nil
+			}})
+			msg := bytes.Repeat([]byte("partial-write-chaos-"), 512)
+			go a.Do(func() {
+				for off := 0; off < len(msg); {
+					n, err := a.Write(msg[off:])
+					if err == tcp.ErrWouldBlock {
+						continue
+					}
+					if err != nil {
+						t.Errorf("Write under caps: %v", err)
+						return
+					}
+					off += n
+				}
+			})
+			got := collect(t, b, len(msg))
+			SetFaultHooks(nil)
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("stream corrupted under partial writes: %d/%d bytes", len(got), len(msg))
 			}
-			off += n
-		}
-	})
-	got := collect(t, b, len(msg))
-	SetFaultHooks(nil)
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("stream corrupted under partial writes: %d/%d bytes", len(got), len(msg))
+			a.Close()
+			b.Close()
+		})
 	}
-	a.Close()
-	b.Close()
 }
 
 func TestChaosShortReadIntegrity(t *testing.T) {

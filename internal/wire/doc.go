@@ -16,8 +16,10 @@
 // Concurrency model: protocol work for a connection executes serially on
 // an rt.Loop's executor — its event goroutine, or on an idle loop the
 // goroutine handing work in — preserving the simulator's "no locks above
-// the kernel" invariant. A connection's I/O shape follows from its loop,
-// not from an option:
+// the kernel" invariant. Every connection runs one datapath, a send queue
+// (writer.go) and a receive path (reader.go); only the syscall driver
+// under it differs, and it follows from the connection's loop, not from
+// an option:
 //
 //   - Polled (Config.Group on Linux): each group loop owns a readiness
 //     poller (epoll) registered edge-triggered on every connection's fd,
@@ -34,10 +36,10 @@
 //     not be registered) it shares the loop and event work enters it
 //     through a per-connection FIFO lane, preserving delivery order.
 //
-// In both shapes buffers cross the socket boundary by reference: the
+// Under both drivers buffers cross the socket boundary by reference: the
 // zero-copy ownership conventions of the datagram datapath hold end to
-// end, and writers coalesce queued pooled buffers into single vectored
-// writes (net.Buffers/writev) instead of one syscall per record.
+// end, and the send queue coalesces queued pooled buffers into single
+// vectored writes (net.Buffers/writev) instead of one syscall per record.
 //
 // UDP runs on one socket core under two thin fronts: UDPConn, the
 // connected client carrying the internal/udp shim, and UDPPacketConn,

@@ -36,10 +36,9 @@ type FaultHooks struct {
 	// socket as recoverable.
 	Read func(size int) (int, error)
 	// Write is the same contract for vectored writes, consulted with the
-	// total queued bytes. A cap truncates the batch to a prefix (a partial
-	// write — poll mode only; the blocking shapes ignore caps), EAGAIN
-	// stalls the writer exactly like kernel backpressure, and any other
-	// error kills the write side.
+	// total in-flight bytes. A cap truncates the batch to a prefix (a
+	// partial write), EAGAIN stalls the writer exactly like kernel
+	// backpressure, and any other error kills the write side.
 	Write func(size int) (int, error)
 	// Accept is consulted before each kernel accept. A non-nil error is
 	// injected in place of the syscall; EMFILE/ENFILE take the
@@ -70,6 +69,17 @@ func faultRead(size int) (cap int, err error, ok bool) {
 	}
 	cap, err = h.Read(size)
 	return cap, err, err != nil || (cap > 0 && cap < size)
+}
+
+// faultReadSpace consults the read hook before a read into p: it returns
+// p capped by an injected short read, or the error injected in place of
+// the read.
+func faultReadSpace(p []byte) ([]byte, error) {
+	capN, err, ok := faultRead(len(p))
+	if ok && err == nil {
+		p = p[:capN]
+	}
+	return p, err
 }
 
 // faultWrite consults the write hook. ok is false on pass-through.

@@ -103,8 +103,8 @@ func (c *Conn) fireError(err error) {
 }
 
 // postError delivers err to fireError via the event loop — the door for
-// the blocking writer goroutines, which may not touch loop-confined state
-// directly. Once the lane is closed, teardown's backstop owns delivery.
+// the writer goroutine, which may not touch loop-confined state directly.
+// Once the lane is closed, cleanup's backstop owns delivery.
 func (c *Conn) postError(err error) {
 	c.lane.Post(func() { c.fireError(err) })
 }
@@ -240,55 +240,20 @@ func (c *Conn) Abort(err error) {
 }
 
 // abortOnLoop is Abort's loop-confined body (the watchdog calls it
-// directly). It latches the error, unblocks every blocked goroutine, and
-// hands off to Close for the ordered teardown — which completes almost
-// immediately, because both "drained" signals are forced here.
+// directly). It latches the error on both directions and hands off to
+// Close for the ordered teardown — which completes almost immediately,
+// because the write side is failed here and the read side finished.
 func (c *Conn) abortOnLoop(err error) {
 	c.watchStop.Store(true)
 	c.aborted.Store(true)
-	if c.pl != nil {
-		if !c.pollDead {
-			c.wmu.Lock()
-			if c.werr == nil {
-				c.werr = err
-			}
-			c.failWritesLocked()
-			c.notifyWritableLocked()
-			c.wmu.Unlock()
-			c.writerFinish()
-			if c.rerr == nil {
-				c.rerr = err
-				if c.onReadable != nil {
-					c.onReadable()
-				}
-			}
-			c.rdone.Do(func() { close(c.readerDone) })
-			c.fireError(err)
-		}
-		c.Close()
-		return
-	}
-	// Reader/writer goroutines: latch, then kick both blocked
-	// syscalls out with past deadlines. The reader surfaces the latched
-	// cause instead of the deadline error; the writer sees werr set and
-	// fails its queue.
 	c.failCause.CompareAndSwap(nil, &err)
-	c.wmu.Lock()
-	if c.werr == nil {
-		c.werr = err
+	c.failWrites(err)
+	if c.pl == nil {
+		// The reader goroutine may be blocked in the kernel: a past
+		// deadline kicks it out, and it surfaces the latched cause.
+		c.nc.SetReadDeadline(time.Unix(1, 0))
 	}
-	c.wcond.Broadcast()
-	c.wmu.Unlock()
-	past := time.Unix(1, 0)
-	c.nc.SetReadDeadline(past)
-	c.nc.SetWriteDeadline(past)
-	if c.rerr == nil {
-		c.rerr = err
-		if c.onReadable != nil {
-			c.onReadable()
-		}
-	}
-	c.fireError(err)
+	c.endRead(err)
 	c.Close()
 }
 

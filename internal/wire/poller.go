@@ -1,12 +1,6 @@
 package wire
 
-import (
-	"io"
-	"net"
-
-	"minion/internal/buf"
-	"minion/internal/tcp"
-)
+import "minion/internal/buf"
 
 // Readiness-driven I/O (poll mode).
 //
@@ -22,10 +16,9 @@ import (
 // rt.Signal, which coalesces into one lane post serviced on the next
 // loop rotation.
 //
-// The I/O itself happens on the loop's event goroutine: non-blocking
-// reads straight into pooled buffers (no hand-off copy, no reader
-// goroutine), non-blocking vectored writes draining the same queue the
-// writer goroutine uses. A write that hits EAGAIN parks the connection —
+// The I/O itself happens on the loop's executor: pollRead and pollFlush
+// are the non-blocking drivers of the same receive path and send queue
+// the reader/writer goroutine pair drives (reader.go, writer.go). A write that hits EAGAIN parks the connection —
 // zero syscalls — until the kernel reports EPOLLOUT. The per-connection
 // goroutine count is zero; a loop costs one goroutine (its event
 // goroutine) no matter how many connections it serves. A socket the
@@ -39,13 +32,13 @@ import (
 //     edge because the previous event was already consumed). Once a
 //     hangup edge was seen the shortcut is off: an already-arrived FIN
 //     never re-edges, so the drain must reach the EOF itself.
-//   - A read stopped early by the receive-budget cap sets rStalled; no
-//     edge will re-fire for the bytes still buffered in the kernel, so
-//     Read's credit path must re-raise the signal itself.
+//   - A read stopped early by the receive budget sets rStalled; no edge
+//     will re-fire for the bytes still buffered in the kernel, so Read's
+//     credit (creditRead) must re-raise the signal itself.
 //   - A write that hit EAGAIN sets wParked and must not retry until the
 //     EPOLLOUT edge clears it; WriteMsgBuf-driven service requests
 //     short-circuit while parked.
-//   - No syscall may touch the fd after pollTeardown: the fd number is
+//   - No syscall may touch the fd after cleanup: the fd number is
 //     recycled by the kernel the moment the socket closes.
 
 // pollTarget is anything a poller routes readiness edges to: wire
@@ -107,115 +100,51 @@ func (c *Conn) pollInit(p *poller) bool {
 // across several services, re-raising its own signal between them.
 const pollReadPass = 2 * readChunk
 
-// pollRead services a readability edge on the loop's executor: it drains
-// the socket into pooled buffers until EAGAIN, a short read, the receive
-// budget, or the per-pass bound, then fires OnReadable once for the
-// batch.
+// pollRead is the poll read driver, servicing a readability edge on the
+// loop's executor: it drains the socket until EAGAIN, a short read, the
+// receive budget, or the per-pass bound.
 func (c *Conn) pollRead() {
-	if c.pollDead || c.rerr != nil {
-		return
-	}
-	delivered := false
-	eof := false
-	passed := 0
-	for {
-		if c.rBudget >= c.cfg.RecvBufBytes {
-			// Budget exhausted: stop pulling so kernel flow control
-			// backpressures the peer. Read's credit path resumes us — the
-			// consumed edge will never re-fire for these bytes.
-			c.rStalled = true
-			break
-		}
+	for passed := 0; !c.dead && c.rerr == nil && c.readRoom(); {
 		if passed >= pollReadPass {
 			// Pass bound: yield the loop and continue behind whatever
 			// else queued. The kernel edge was consumed, so the
 			// continuation must be self-raised.
 			c.rSig.Raise()
-			break
+			return
 		}
 		b := buf.Get(readChunk)
-		space := b.Bytes()
-		capped := false
-		if capN, ferr, ok := faultRead(len(space)); ok {
-			if ferr != nil {
-				b.Release()
-				if faultAgain(ferr) {
-					// Injected spurious edge: the real edge was consumed, so
-					// the retry must be self-raised.
-					c.loop.Schedule(faultRetryDelay, func() { c.rSig.Raise() })
-					break
-				}
-				c.rerr = tcp.ErrClosed
-				c.rdone.Do(func() { close(c.readerDone) })
-				c.fireError(c.rerr)
-				delivered = true
-				break
-			}
-			space, capped = space[:capN], true
-		}
-		n, again, err := c.pollReadFd(space)
-		c.io.tcpReadCalls.Add(1)
-		if again {
-			b.Release()
-			break
-		}
-		if n > 0 {
-			c.noteRead()
-			chunk := b.RightSize(n)
-			c.recvQ = append(c.recvQ, chunk)
-			c.govCharge(n)
-			c.rBudget += n
-			passed += n
-			delivered = true
-			if n < readChunk && !c.rHup.Load() {
-				if capped {
-					// An injected short read proves nothing about the
-					// socket buffer; keep draining on the next service.
-					c.rSig.Raise()
-				}
-				// Socket buffer emptied; the next arrival re-edges. With a
-				// hangup pending the shortcut is unsound — a FIN that
-				// already arrived never re-edges — so keep draining to the
-				// EOF.
-				break
-			}
-			continue
-		}
-		b.Release()
-		// EOF (clean peer close) or a terminal socket error: surface it
-		// exactly like the reader goroutine does, and release Close's wait
-		// on the receive side.
+		space, err := faultReadSpace(b.Bytes())
+		n, again := 0, false
 		if err == nil {
-			c.rerr = io.EOF
-			eof = true
-		} else {
-			// A hard read error is terminal both ways (only a graceful EOF
-			// leaves the send side usable); report it now, not at teardown.
-			c.rerr = tcp.ErrClosed
-			c.fireError(c.rerr)
+			n, again, err = c.pollReadFd(space)
+			c.io.tcpReadCalls.Add(1)
+		} else if faultAgain(err) {
+			// Injected spurious edge: the real edge was consumed, so the
+			// retry must be self-raised.
+			c.loop.Schedule(faultRetryDelay, func() { c.rSig.Raise() })
+			err, again = nil, true
 		}
-		c.rdone.Do(func() { close(c.readerDone) })
-		delivered = true
-		break
-	}
-	if delivered && c.onReadable != nil {
-		c.onReadable()
-	}
-	if eof && c.onEOF != nil {
-		// After the batch's OnReadable: the framing layer has drained
-		// every byte ahead of the FIN before the peer-close notification.
-		c.onEOF()
-	}
-}
-
-// pollCredit returns consumed bytes to the receive budget (poll mode's
-// loop-confined counterpart of creditRead) and resumes a budget-stalled
-// drain.
-func (c *Conn) pollCredit(n int) {
-	c.rBudget -= n
-	if c.rStalled && c.rBudget < c.cfg.RecvBufBytes {
-		c.rStalled = false
-		c.rSig.Raise()
+		if n == 0 {
+			b.Release()
+			if !again {
+				c.endRead(err) // EOF or a terminal socket error
+			}
+			return
+		}
+		c.chargeRead(n)
+		c.deliver(b, n)
+		passed += n
+		if n < readChunk && !c.rHup.Load() {
+			// Socket buffer emptied; the next arrival re-edges. With a
+			// hangup pending the shortcut is unsound — a FIN that already
+			// arrived never re-edges — so keep draining to the EOF. An
+			// injected short read proves nothing about the socket buffer;
+			// keep draining on the next service.
+			if len(space) < readChunk {
+				c.rSig.Raise()
+			}
+			return
+		}
 	}
 }
 
@@ -223,205 +152,44 @@ func (c *Conn) pollCredit(n int) {
 // parked connection stays parked: the EPOLLOUT edge is the only event
 // that may retry, so a stalled peer costs nothing per queued write.
 func (c *Conn) pollWrite() {
-	if c.pollDead || c.wParked {
-		return
+	if !c.wParked {
+		c.pollFlush()
 	}
-	c.pollWriteBatch()
 }
 
 // pollWritable services an EPOLLOUT edge: the kernel drained the socket
 // buffer, so unpark and push.
 func (c *Conn) pollWritable() {
-	if c.pollDead {
-		return
-	}
 	c.wParked = false
-	c.pollWriteBatch()
+	c.pollFlush()
 }
 
-// pollWriteBatch moves queued buffers into the in-flight vector and
-// drains it with non-blocking vectored writes until done or EAGAIN. It
-// mirrors writeBatch's bookkeeping (same queue, same buffer-release
-// discipline, same OnWritable and flush-point detection) with parking in
-// place of deadlines. Runs only on the loop's executor.
-func (c *Conn) pollWriteBatch() {
-	c.wmu.Lock()
-	if c.werr != nil {
-		c.failWritesLocked()
-		c.wmu.Unlock()
-		c.writerFinish()
+// pollFlush is the poll write driver: non-blocking vectored writes on
+// the loop's executor until the in-flight vector drains or the kernel
+// pushes back, which parks the connection until EPOLLOUT.
+func (c *Conn) pollFlush() {
+	if c.dead || !c.takeBatch() {
 		return
 	}
-	for _, b := range c.wq {
-		c.pend = append(c.pend, b.Bytes())
-		c.pendOwned = append(c.pendOwned, b)
-	}
-	clearBufs(c.wq)
-	c.wq = c.wq[:0]
-	if len(c.pend) == 0 {
-		finished := c.wclosed
-		c.wmu.Unlock()
-		if finished {
-			c.writerFinish()
+	wrote := 0
+	var err error
+	for len(c.pend) > 0 && err == nil {
+		n, again := 0, false
+		if err = c.stageWrite(); err == nil {
+			n, again, err = c.pollWritev(c.wvec)
+		} else if faultAgain(err) {
+			// Injected backpressure parks like the kernel's; the kernel
+			// owes no edge for pressure it never applied, so a synthetic
+			// EPOLLOUT follows after a beat.
+			c.loop.Schedule(faultRetryDelay, func() { c.woSig.Raise() })
+			err, again = nil, true
 		}
-		return
-	}
-	c.wmu.Unlock()
-
-	var wrote int64
-	var werr error
-	for len(c.pend) > 0 {
-		n, again, err := c.pollWritevFault()
-		if n > 0 {
-			wrote += int64(n)
-			c.consumePend(n)
-		}
+		wrote += n
+		c.consume(n)
 		if again {
 			c.wParked = true
 			break
 		}
-		if err != nil {
-			werr = err
-			break
-		}
 	}
-	c.io.tcpWriteBytes.Add(uint64(wrote))
-
-	c.wmu.Lock()
-	c.wqBytes -= int(wrote)
-	c.govCharge(-int(wrote))
-	died := werr != nil && c.werr == nil
-	if died {
-		c.werr = werr
-		c.failWritesLocked()
-	}
-	c.noteWriteProgressLocked(c.wqBytes > 0 && c.werr == nil, wrote > 0)
-	c.notifyWritableLocked()
-	flushed := len(c.pend) == 0 && len(c.wq) == 0
-	finished := c.werr != nil || (c.wclosed && flushed)
-	c.wmu.Unlock()
-	if died {
-		// Terminal for the layers above; report now, not a linger later.
-		// pollWriteBatch runs on the event loop, so the call is direct.
-		c.fireError(werr)
-	}
-	if finished {
-		c.writerFinish()
-	}
-}
-
-// pollWritevFault interposes the fault seam on the poll path's vectored
-// write. Pass-through costs one atomic load. An injected EAGAIN parks the
-// connection like real kernel backpressure and self-raises a synthetic
-// EPOLLOUT after a beat (the kernel owes no edge for pressure it never
-// applied); a partial-write cap issues the real writev on a prefix of the
-// in-flight vector, exercising consumePend's mid-buffer arithmetic.
-func (c *Conn) pollWritevFault() (int, bool, error) {
-	h := faultHooks.Load()
-	if h == nil || h.Write == nil {
-		return c.pollWritev()
-	}
-	size := 0
-	for _, p := range c.pend {
-		size += len(p)
-	}
-	capN, ferr, ok := faultWrite(size)
-	if !ok {
-		return c.pollWritev()
-	}
-	if ferr != nil {
-		if faultAgain(ferr) {
-			c.loop.Schedule(faultRetryDelay, func() { c.woSig.Raise() })
-			return 0, true, nil
-		}
-		return 0, false, ferr
-	}
-	saved := c.pend
-	pfx := make(net.Buffers, 0, len(saved))
-	left := capN
-	for _, p := range saved {
-		if left <= 0 {
-			break
-		}
-		if len(p) > left {
-			pfx = append(pfx, p[:left])
-			left = 0
-			break
-		}
-		pfx = append(pfx, p)
-		left -= len(p)
-	}
-	c.pend = pfx
-	n, again, err := c.pollWritev()
-	c.pend = saved
-	return n, again, err
-}
-
-// consumePend advances the in-flight vector past n kernel-consumed bytes,
-// releasing fully-written buffers (the poll-mode half of the "hold the
-// reference until the kernel has the bytes" rule).
-func (c *Conn) consumePend(n int) {
-	consumed := 0
-	for n > 0 && consumed < len(c.pend) {
-		if n >= len(c.pend[consumed]) {
-			n -= len(c.pend[consumed])
-			consumed++
-			continue
-		}
-		c.pend[consumed] = c.pend[consumed][n:]
-		n = 0
-	}
-	if consumed == 0 {
-		return
-	}
-	for i := 0; i < consumed; i++ {
-		c.pendOwned[i].Release()
-	}
-	rest := copy(c.pend, c.pend[consumed:])
-	clearBufs(c.pend[rest:])
-	c.pend = c.pend[:rest]
-	rest = copy(c.pendOwned, c.pendOwned[consumed:])
-	clearBufs(c.pendOwned[rest:])
-	c.pendOwned = c.pendOwned[:rest]
-}
-
-// pollAbortWrites fails everything still queued on the write side — the
-// linger-expiry bound for a close against a stalled peer, where no
-// kernel deadline exists to fail a parked writev. Runs on the loop.
-func (c *Conn) pollAbortWrites() {
-	if c.pollDead {
-		return
-	}
-	c.wmu.Lock()
-	if c.werr == nil {
-		c.werr = tcp.ErrClosed
-	}
-	c.failWritesLocked()
-	c.notifyWritableLocked()
-	c.wmu.Unlock()
-	c.writerFinish()
-}
-
-// pollTeardown is the last fd-touching step of a poll-mode connection,
-// run on the loop's executor (or inline once the loop is gone): it
-// unregisters the fd, fails anything still queued, and releases both of
-// Close's waits. After it returns no code path issues a syscall on the
-// fd, so the caller may close the socket without racing a reused
-// descriptor.
-func (c *Conn) pollTeardown() {
-	if c.pollDead {
-		return
-	}
-	c.pollDead = true
-	c.watchStop.Store(true)
-	c.pl.unregister(c.pollTok, c.fd)
-	c.wmu.Lock()
-	if c.werr == nil {
-		c.werr = tcp.ErrClosed
-	}
-	c.failWritesLocked()
-	c.wmu.Unlock()
-	c.writerFinish()
-	c.rdone.Do(func() { close(c.readerDone) })
-	c.cleanupRecv()
+	c.settle(wrote, err)
 }

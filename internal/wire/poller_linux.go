@@ -3,6 +3,7 @@
 package wire
 
 import (
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -305,7 +306,7 @@ func (p *poller) close() {
 }
 
 // rawFD extracts the socket's file descriptor. The fd stays owned by the
-// net.Conn; poll-mode teardown stops all use of it before the socket is
+// net.Conn; cleanup stops all poll-mode use of it before the socket is
 // closed.
 func rawFD(nc net.Conn) (int, bool) {
 	tcpc, ok := nc.(*net.TCPConn)
@@ -330,7 +331,7 @@ type pollIO struct {
 }
 
 // pollReadFd issues one non-blocking read into p. again reports EAGAIN
-// (socket drained); n == 0 with err == nil is EOF.
+// (socket drained); a clean peer close reads as io.EOF.
 func (c *Conn) pollReadFd(p []byte) (n int, again bool, err error) {
 	for {
 		n, err := syscall.Read(c.fd, p)
@@ -343,29 +344,26 @@ func (c *Conn) pollReadFd(p []byte) (n int, again bool, err error) {
 		if n < 0 {
 			n = 0
 		}
+		if n == 0 && err == nil {
+			err = io.EOF
+		}
 		return n, false, err
 	}
 }
 
-// pollWritev issues one non-blocking vectored write over the head of the
-// in-flight vector (at most writevMaxIOV entries, the kernel's IOV_MAX).
-// again reports EAGAIN: nothing was taken and the caller must park until
-// EPOLLOUT.
-func (c *Conn) pollWritev() (n int, again bool, err error) {
-	k := len(c.pend)
-	if k > writevMaxIOV {
-		k = writevMaxIOV
-	}
+// pollWritev issues one non-blocking vectored write over the head of v
+// (at most writevMaxIOV entries, the kernel's IOV_MAX). again reports
+// EAGAIN: nothing was taken and the caller must park until EPOLLOUT.
+func (c *Conn) pollWritev(v net.Buffers) (n int, again bool, err error) {
 	iov := c.pio.iov[:0]
-	for i := 0; i < k; i++ {
-		bs := c.pend[i]
+	for _, bs := range v[:min(len(v), writevMaxIOV)] {
 		if len(bs) == 0 {
 			continue
 		}
-		var v syscall.Iovec
-		v.Base = &bs[0]
-		v.SetLen(len(bs))
-		iov = append(iov, v)
+		var e syscall.Iovec
+		e.Base = &bs[0]
+		e.SetLen(len(bs))
+		iov = append(iov, e)
 	}
 	c.pio.iov = iov
 	if len(iov) == 0 {

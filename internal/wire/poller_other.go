@@ -43,4 +43,4 @@ type pollIO struct{}
 
 func (c *Conn) pollReadFd(p []byte) (int, bool, error) { return 0, false, errNoPoller }
 
-func (c *Conn) pollWritev() (int, bool, error) { return 0, false, errNoPoller }
+func (c *Conn) pollWritev(v net.Buffers) (int, bool, error) { return 0, false, errNoPoller }

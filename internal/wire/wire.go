@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -122,10 +121,6 @@ func applySockOpts(nc net.Conn, cfg Config) {
 	}
 }
 
-// readChunk is the pooled buffer size the reader goroutine fills from the
-// socket (one buf size class below the pool maximum).
-const readChunk = 32 * 1024
-
 // closeLinger bounds how long Close waits for the peer to drain and close
 // its half before the socket is torn down hard. An atomic only so
 // lifecycle tests can shorten the bound while background teardowns read
@@ -142,6 +137,11 @@ var ErrTooLarge = errors.New("wire: message larger than send buffer")
 // Conn is a real TCP socket exposed as a tcp.Stream. All Stream methods
 // must be called on the connection's event loop — from inside a protocol
 // callback, or marshalled in with Do or Post.
+//
+// One datapath serves every connection: a send queue (writer.go) and a
+// receive path (reader.go). Only the syscall driver under them differs
+// — a blocking reader/writer goroutine pair, or non-blocking calls on the
+// loop's executor when the loop has a poller (poller.go).
 type Conn struct {
 	loop    *rt.Loop
 	lane    *rt.Lane // the connection's FIFO lane into its loop
@@ -151,29 +151,24 @@ type Conn struct {
 	ownLoop bool        // dedicated mode: the loop is ours
 	release func()      // group detach; nil in dedicated mode
 
-	// Poll mode (nil pl elsewhere): the loop's poller drives this
-	// connection's I/O through three coalescing signals; no reader or
-	// writer goroutine exists. fd is valid until pollTeardown.
+	// Poll driver (nil pl for the goroutine pair): the loop's poller
+	// drives this connection's I/O through three coalescing signals. fd
+	// is valid until cleanup.
 	pl      *poller
 	fd      int
 	pollTok int32
-	rSig    *rt.Signal // readability edge -> pollRead
+	rSig    *rt.Signal // readability edge or resumed budget -> pollRead
 	wSig    *rt.Signal // WriteMsgBuf/Close service -> pollWrite
 	woSig   *rt.Signal // EPOLLOUT edge -> pollWritable
 	pio     pollIO     // platform writev scratch
-
-	// Poll-mode loop-confined state.
-	pollDead bool // no further syscalls on fd
-	wParked  bool // writev hit EAGAIN; only EPOLLOUT may retry
-	rStalled bool // read stopped on budget; Read's credit resumes
-	rBudget  int  // bytes in recvQ not yet consumed by Read
-	rdone    sync.Once
+	wParked bool       // writev hit EAGAIN; only EPOLLOUT may retry (loop-confined)
 	// rHup (set by the poller goroutine, sticky) records a hangup/error
 	// edge: an already-arrived FIN never re-edges, so the short-read
 	// drain shortcut must not be taken once it is set.
 	rHup atomic.Bool
 
 	// Loop-confined state.
+	dead       bool // cleanup ran: no further delivery, no syscall on fd
 	onReadable func()
 	recvQ      []*buf.Buffer
 	rerr       error       // terminal read status (io.EOF on clean peer close)
@@ -187,24 +182,25 @@ type Conn struct {
 	lastRead  atomic.Int64          // loop-time nanos of the last peer byte
 	watchStop atomic.Bool           // watchdog must not re-arm
 	aborted   atomic.Bool           // Abort ran: Close skips the linger drain
-	failCause atomic.Pointer[error] // overrides readLoop's error mapping
+	failCause atomic.Pointer[error] // overrides endRead's error mapping
 
-	// Reader flow control (reader goroutine <-> loop).
-	rmu       sync.Mutex
-	rcond     *sync.Cond
-	rInFlight int // bytes posted into the loop, not yet consumed by Read
-	rclosed   bool
+	// Receive budget (read driver <-> loop; see reader.go).
+	rmu      sync.Mutex
+	rcond    *sync.Cond // the reader goroutine's budget wait
+	rBudget  int        // bytes read for delivery, not yet consumed by Read
+	rStalled bool       // reading stopped on a full budget; credit resumes it
+	rclosed  bool       // teardown: the reader goroutine must stop
 
-	// Pad between the read side (reader goroutine + loop) and the write
-	// side (producer goroutines + the writer): the two sides are
-	// driven by different goroutines at full rate, and sharing a cache
-	// line between rmu/rInFlight and wmu/wqBytes makes every send
-	// invalidate the receive path's line and vice versa.
+	// Pad between the read side (read driver + loop) and the write side
+	// (producer goroutines + the write driver): the two sides are driven
+	// by different goroutines at full rate, and sharing a cache line
+	// between rmu/rBudget and wmu/wqBytes makes every send invalidate
+	// the receive path's line and vice versa.
 	_ [64]byte
 
-	// Writer queue (any goroutine -> the writer goroutine or poll path).
+	// Send queue (any goroutine -> the write driver; see writer.go).
 	wmu        sync.Mutex
-	wcond      *sync.Cond // writer-goroutine wakeup
+	wcond      *sync.Cond // the writer goroutine's wakeup
 	wq         []*buf.Buffer
 	wqBytes    int // queued plus in-flight bytes not yet taken by the kernel
 	werr       error
@@ -213,14 +209,15 @@ type Conn struct {
 	wNotify    bool          // a rejected WriteMsgBuf armed OnWritable
 	wStall     time.Duration // write-stall clock, loop time (0 = off)
 
-	// In-flight vectored-write state; owned by the writer goroutine (see
-	// writer.go).
+	// In-flight vectored write; owned by the write driver, no lock.
 	pend      net.Buffers
 	pendOwned []*buf.Buffer
+	wvec      net.Buffers // one write's view of pend (see stageWrite)
 
+	rdone      sync.Once
 	wdone      sync.Once
 	writerDone chan struct{} // send side flushed (or dead)
-	readerDone chan struct{}
+	readerDone chan struct{} // the read driver delivers nothing more
 	closeOnce  sync.Once
 }
 
@@ -382,20 +379,6 @@ func (c *Conn) govCharge(d int) {
 	}
 }
 
-// creditRead returns consumed bytes to the receive flow-control budget:
-// the reader goroutine's without a poller, the loop-confined poll budget
-// (resuming a budget-stalled drain) when polled.
-func (c *Conn) creditRead(n int) {
-	if c.pl != nil {
-		c.pollCredit(n)
-		return
-	}
-	c.rmu.Lock()
-	c.rInFlight -= n
-	c.rcond.Signal()
-	c.rmu.Unlock()
-}
-
 // ReadUnordered implements tcp.Stream: never available on kernel TCP.
 func (c *Conn) ReadUnordered() (tcp.UnorderedData, error) {
 	return tcp.UnorderedData{}, tcp.ErrNotUnordered
@@ -458,16 +441,8 @@ func (c *Conn) WriteMsgBuf(b *buf.Buffer, opt tcp.WriteOptions) (int, error) {
 		// write) still gets its drain notification.
 		c.wNotify = true
 	}
-	if c.pl != nil {
-		c.wmu.Unlock()
-		// Coalesced service request; a parked connection ignores it (the
-		// EPOLLOUT edge is the only legal retry), so a stalled peer costs
-		// nothing per queued write.
-		c.wSig.Raise()
-	} else {
-		c.wcond.Signal()
-		c.wmu.Unlock()
-	}
+	c.wmu.Unlock()
+	c.kickWriter()
 	return n, nil
 }
 
@@ -509,37 +484,25 @@ func (c *Conn) Close() {
 		c.watchStop.Store(true) // the linger bound owns teardown now
 		c.wmu.Lock()
 		c.wclosed = true
-		c.wcond.Broadcast()
 		c.wmu.Unlock()
-		if c.pl != nil {
-			// Wake the poll path so it notices the flush point even when
-			// no data is queued.
-			c.wSig.Raise()
-		}
+		c.kickWriter() // the writer notices the flush point even with nothing queued
 		go func() {
 			// Bound the drain too: a peer that stopped reading leaves
 			// queued data that will never flush, and Close must not wait
-			// on it forever. The writer goroutine is bounded by a write
-			// deadline, whose expiry fails the blocked socket write and
-			// with it the queue; a polled connection has no blocked
-			// write to fail — a stalled one is parked — so its queue is
-			// aborted explicitly on the loop when the linger expires.
-			// Either way the writer finishes releasing its buffers
-			// within the linger.
+			// on it forever. At the linger the queue fails (failWrites);
+			// the write driver finishes releasing its buffers a beat
+			// later.
 			linger := time.Duration(closeLinger.Load())
 			if c.aborted.Load() {
-				// Abort already failed both directions; don't re-extend
-				// the write deadline it set to the past, and don't wait
-				// the graceful linger for a drain that cannot happen.
+				// Abort already failed both directions: don't wait the
+				// graceful linger for a drain that cannot happen.
 				linger = 10 * time.Millisecond
-			} else if c.pl == nil {
-				c.nc.SetWriteDeadline(time.Now().Add(linger))
 			}
 			select {
 			case <-c.writerDone:
 			case <-time.After(linger):
-				if c.pl != nil {
-					c.lane.Post(c.pollAbortWrites)
+				if !c.loop.Do(c.expireWrites) {
+					c.expireWrites()
 				}
 				select {
 				case <-c.writerDone:
@@ -558,58 +521,62 @@ func (c *Conn) Close() {
 	})
 }
 
-// teardown force-closes the socket, unblocks the reader, and returns any
-// undelivered receive buffers to the pool. Dedicated mode stops the event
-// loop; on a group loop the final cleanup runs as the last entry on the
-// connection's lane and the connection detaches from the group; a polled
-// connection unregisters from the poller on the loop before the socket
-// closes, so no syscall can race the kernel recycling the fd.
+// expireWrites fails a send queue that outlived Close's linger.
+func (c *Conn) expireWrites() { c.failWrites(tcp.ErrClosed) }
+
+// teardown force-closes the socket and runs cleanup as the connection's
+// last loop step. The reader goroutine is kicked out of the socket and
+// waited for first, so cleanup runs behind its last delivery; a polled
+// connection unregisters in cleanup, before the socket closes, so no
+// syscall can race the kernel recycling the fd. Dedicated mode stops
+// the event loop; a group connection detaches from its group.
 func (c *Conn) teardown() {
-	if c.pl != nil {
-		// Do, not Post: a racing group shutdown can close the loop after
-		// the post is queued but before it runs — Post-and-wait would hang
-		// forever on work the dying loop dropped. Do detects that (returns
-		// false without running), and with the event goroutine gone the
-		// teardown runs inline safely.
-		if !c.loop.Do(c.pollTeardown) {
-			c.pollTeardown()
-		}
+	if c.pl == nil {
 		c.nc.Close()
-		if c.release != nil {
-			c.release()
-		}
-		return
+		c.rmu.Lock()
+		c.rclosed = true
+		c.rmu.Unlock()
+		c.rcond.Broadcast()
+		<-c.readerDone
 	}
-	c.nc.Close()
-	c.rmu.Lock()
-	c.rclosed = true
-	c.rcond.Broadcast()
-	c.rmu.Unlock()
-	<-c.readerDone
 	if c.ownLoop {
 		c.loop.Close()
-		// The loop is stopped and the reader gone: recvQ is ours alone
-		// now. (Chunks inside closures the loop never executed are
-		// unreachable and fall to the garbage collector — the safe
-		// direction of the buffer discipline.)
-		c.cleanupRecv()
+		// The loop is stopped and the reader gone: the connection's
+		// state is ours alone now. (Chunks inside closures the loop
+		// never executed are unreachable and fall to the garbage
+		// collector — the safe direction of the buffer discipline.)
+		c.cleanup()
 		return
 	}
-	// Every reader post was laned before readerDone closed, so this runs
-	// after the last delivery. Do, not Post: a racing group shutdown can
-	// close the loop after the post is queued but before it runs, and a
-	// dropped cleanup leaks every chunk still in recvQ. Do either runs it
-	// on the (live) loop or reports the loop gone — at which point the
-	// event goroutine is too, and cleaning up inline is safe.
-	if !c.loop.Do(c.cleanupRecv) {
-		c.cleanupRecv()
+	// Do, not Post: a racing group shutdown can close the loop after the
+	// post is queued but before it runs, and a dropped cleanup leaks
+	// every chunk still in recvQ. Do either runs it on the (live) loop
+	// or reports the loop gone — at which point the event goroutine is
+	// too, and cleaning up inline is safe.
+	if !c.loop.Do(c.cleanup) {
+		c.cleanup()
 	}
+	c.nc.Close()
 	if c.release != nil {
 		c.release()
 	}
 }
 
-func (c *Conn) cleanupRecv() {
+// cleanup is the connection's last step on its loop (or inline once the
+// loop is gone): the poll driver stops using the fd, the write side
+// fails, undelivered receive buffers return to the pool, and the
+// terminal state is reported before the hooks are dropped.
+func (c *Conn) cleanup() {
+	if c.dead {
+		return
+	}
+	c.dead = true
+	c.watchStop.Store(true)
+	if c.pl != nil {
+		c.pl.unregister(c.pollTok, c.fd)
+	}
+	c.failWrites(tcp.ErrClosed)
+	c.rdone.Do(c.closeReader)
 	for _, b := range c.recvQ {
 		c.govCharge(-b.Len())
 		b.Release()
@@ -627,104 +594,4 @@ func (c *Conn) cleanupRecv() {
 	c.onEOF = nil
 	c.onStall = nil
 	c.onDrain = nil
-}
-
-// readLoop is the reader goroutine: socket bytes enter pooled buffers and
-// are posted into the event loop by reference, through the connection's
-// FIFO lane.
-func (c *Conn) readLoop() {
-	defer close(c.readerDone)
-	for {
-		b := buf.Get(readChunk)
-		space := b.Bytes()
-		if capN, ferr, ok := faultRead(len(space)); ok {
-			if ferr != nil {
-				if faultAgain(ferr) {
-					// Injected spurious wakeup: retry after a beat.
-					b.Release()
-					time.Sleep(faultRetryDelay)
-					continue
-				}
-				b.Release()
-				c.readFail(ferr)
-				return
-			}
-			space = space[:capN] // injected short read
-		}
-		n, err := c.nc.Read(space)
-		c.io.tcpReadCalls.Add(1)
-		if n > 0 {
-			c.noteRead()
-			// RightSize keeps the flow-control budget honest: short reads
-			// are copied into a right-sized arena instead of pinning the
-			// whole read buffer for n accounted bytes.
-			chunk := b.RightSize(n)
-			c.rmu.Lock()
-			for c.rInFlight >= c.cfg.RecvBufBytes && !c.rclosed {
-				c.rcond.Wait()
-			}
-			closed := c.rclosed
-			if !closed {
-				c.rInFlight += n
-			}
-			c.rmu.Unlock()
-			if closed {
-				chunk.Release()
-				return
-			}
-			if !c.lane.Post(func() {
-				c.recvQ = append(c.recvQ, chunk)
-				c.govCharge(chunk.Len())
-				if c.onReadable != nil {
-					c.onReadable()
-				}
-			}) {
-				// Loop closed under us (group shutdown): nothing above
-				// will consume again.
-				chunk.Release()
-				return
-			}
-		} else {
-			b.Release()
-		}
-		if err != nil {
-			c.readFail(err)
-			return
-		}
-	}
-}
-
-// readFail posts the reader goroutine's terminal status into the loop. A
-// cause latched by Abort (the typed ErrTimeout, a chaos fault) overrides
-// the socket-level error the kicked-out read surfaced; otherwise a reset
-// or a local hard close map to tcp.ErrClosed, exactly as before — the
-// framing layers see a terminal error after queued data drains.
-func (c *Conn) readFail(err error) {
-	rerr := err
-	if p := c.failCause.Load(); p != nil {
-		rerr = *p
-	} else if rerr != io.EOF {
-		rerr = tcp.ErrClosed
-	}
-	c.lane.Post(func() {
-		if c.rerr == nil {
-			c.rerr = rerr
-		}
-		if c.onReadable != nil {
-			c.onReadable()
-		}
-		if rerr != io.EOF {
-			// A hard read error (reset, kicked-out socket) is terminal in
-			// both directions — only a peer's graceful EOF leaves the send
-			// side usable. Report it now; teardown's backstop would be a
-			// linger away.
-			c.fireError(rerr)
-		} else if c.onEOF != nil {
-			// Graceful peer close: every datagram the peer sent has been
-			// delivered (this post is behind the last data post on the
-			// lane). The send side stays open; the hook is notification,
-			// not teardown.
-			c.onEOF()
-		}
-	})
 }
