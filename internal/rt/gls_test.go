@@ -24,6 +24,18 @@ func TestFastGoidMatchesSlowPath(t *testing.T) {
 	<-done
 }
 
+// TestGoidAllocFree: the stack-header parse is the identity check on
+// every Do, TryRun and foreign post where there is no getg stub (386,
+// arm), so it must not allocate.
+func TestGoidAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	if n := testing.AllocsPerRun(100, func() { goid() }); n != 0 {
+		t.Fatalf("goid: %.1f allocs per call, want 0", n)
+	}
+}
+
 // TestGoidOffsetDiscovered: on architectures with a getg stub the
 // empirical scan must find the goid field, or every identity check in
 // the process silently pays the slow parse.

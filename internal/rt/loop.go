@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -662,23 +661,22 @@ func (l *Loop) park(wait time.Duration) {
 // stub. It is only consulted on the Do, TryRun and Close entry points and
 // by posts made while an inline caller holds the token — a few hundred
 // nanoseconds against the cost of the socket operations those calls wrap.
+// runtime.Stack leaks its buffer to the heap, so the buffer is pooled: a
+// stack array would cost an allocation per call.
 func goid() int64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	s := buf[:n]
-	// strip "goroutine "
+	bp := goidBufs.Get().(*[32]byte)
+	defer goidBufs.Put(bp)
+	s := bp[:runtime.Stack(bp[:], false)]
 	const prefix = "goroutine "
-	if len(s) < len(prefix) {
-		return -1
+	var id int64
+	i := len(prefix)
+	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+		id = id*10 + int64(s[i]-'0')
 	}
-	s = s[len(prefix):]
-	i := 0
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		i++
-	}
-	id, err := strconv.ParseInt(string(s[:i]), 10, 64)
-	if err != nil {
+	if i == len(prefix) {
 		return -1
 	}
 	return id
 }
+
+var goidBufs = sync.Pool{New: func() any { return new([32]byte) }}

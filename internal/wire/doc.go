@@ -34,7 +34,13 @@
 //     isolation — the default); on a group loop without a poller (no
 //     poller on the platform, the kernel refused one, or the socket could
 //     not be registered) it shares the loop and event work enters it
-//     through a per-connection FIFO lane, preserving delivery order.
+//     through a per-connection FIFO lane, preserving delivery order. A
+//     short read (one that drained the socket) on an idle loop is
+//     delivered by the reader itself (rt.Lane.TryRun), so callbacks run
+//     on the reader goroutine; a full chunk, or any chunk while the loop
+//     is busy, is posted to the lane. After an inline delivery the reader
+//     yields once before reading again, so the goroutine the delivery
+//     readied is not queued behind the next read syscall.
 //
 // Under both drivers buffers cross the socket boundary by reference: the
 // zero-copy ownership conventions of the datagram datapath hold end to

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"io"
+	"runtime"
 	"time"
 
 	"minion/internal/buf"
@@ -121,7 +122,11 @@ func (c *Conn) endRead(err error) {
 func (c *Conn) closeReader() { close(c.readerDone) }
 
 // readLoop is the goroutine read driver: blocking socket reads, each
-// chunk posted into the loop through the connection's FIFO lane.
+// chunk handed to the loop. A short read (n < readChunk) drained the
+// socket: an idle loop takes it on this goroutine (Lane.TryRun), a busy
+// one gets it queued on the connection's FIFO lane behind its work. A
+// full chunk is always posted, so the event goroutine delivers it while
+// this goroutine reads the next one.
 func (c *Conn) readLoop() {
 	defer c.rdone.Do(c.closeReader)
 	for c.readRoom() {
@@ -135,7 +140,15 @@ func (c *Conn) readLoop() {
 		}
 		if n > 0 {
 			c.chargeRead(n)
-			if !c.lane.Post(func() { c.deliver(b, n) }) {
+			fn := func() { c.deliver(b, n) }
+			if n < readChunk && c.lane.TryRun(fn) {
+				// The delivery may have readied a goroutine (an
+				// application waiting on the data) into this P's run-next
+				// slot; the next read, on an emptied socket a failed
+				// syscall and a netpoll park, would otherwise sit in
+				// front of it. Let it run first.
+				runtime.Gosched()
+			} else if !c.lane.Post(fn) {
 				// Loop closed under us (group shutdown): nothing above
 				// will consume again.
 				b.Release()
